@@ -28,7 +28,6 @@
 #include <random>
 #include <vector>
 
-#include "backend/nvlog_backend.h"
 #include "backend/nvlog_stacked_backend.h"
 #include "backend/sharded_backend.h"
 #include "bench_reporter.h"
@@ -56,11 +55,11 @@ RunResult run_one(backend::StackKind kind, std::uint64_t txns) {
   // Synchronous disk writes: committing IS fsyncing, so whoever puts disk
   // blocks on the commit path pays for them in the commit span.
   cfg.disk_writes = blockdev::WritePolicy::kSync;
-  // Same reserved journal area for the inner store as for classic-journal,
-  // so both address identical data-block ranges.
-  cfg.nvlog.inner.journal_blocks = ScaledDefaults::kJournalBlocks;
-  // Background drains between commits, like the cleaner bench.
-  cfg.nvlog.cleaner.mode = cleaner::CleanerMode::kStepped;
+  // The inner store reuses `cfg.classic`, whose reserved journal area
+  // scaled_stack sized like classic-journal's, so both address identical
+  // data-block ranges.  Background drains between commits, like the
+  // cleaner bench.
+  cfg.nvlog_stacked.cleaner.mode = cleaner::CleanerMode::kStepped;
   backend::Stack stack(cfg);
   backend::TxnBackend& be = stack.backend();
 
@@ -92,7 +91,7 @@ RunResult run_one(backend::StackKind kind, std::uint64_t txns) {
   const std::uint64_t t0 = stack.clock().now();
   const nvlog::NvLogStats warm =
       kind == backend::StackKind::kNvLogClassic
-          ? static_cast<backend::NvLogBackend&>(be).tier().stats()
+          ? static_cast<backend::NvLogStackedBackend&>(be).tier().stats()
           : nvlog::NvLogStats{};
   run_txns(txns);
 
@@ -103,7 +102,7 @@ RunResult run_one(backend::StackKind kind, std::uint64_t txns) {
            static_cast<double>(sim::kSec);
   r.disk_writes = stack.disk_blocks_written() - disk_before;
   if (kind == backend::StackKind::kNvLogClassic) {
-    r.log = static_cast<backend::NvLogBackend&>(be).tier().stats();
+    r.log = static_cast<backend::NvLogStackedBackend&>(be).tier().stats();
     r.log.absorbed_txns -= warm.absorbed_txns;
     r.log.absorbed_records -= warm.absorbed_records;
     r.log.drained_records -= warm.drained_records;

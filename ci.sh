@@ -56,6 +56,19 @@ echo "tsan stage: OK (mvcc stress + shard + cleaner + group-commit +" \
   "multistream + nvlog-stacked suites race-free)"
 
 # ---------------------------------------------------------------------------
+# End-to-end benchmark stage: build perfbench/ through its own CMake package
+# (it compiles src/ itself and drives the program only through its public
+# API: stack_builder.h, TxnBackend, ShardedTinca, MiniFs) and run its tests
+# — oracle, percentile helper, same-seed determinism, trace completeness.
+# An API change that breaks the benchmark fails here, not in the benchmark
+# pipeline.
+PERF_DIR=${PERF_DIR:-build-ci-perfbench}
+cmake -B "$PERF_DIR" -S perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build "$PERF_DIR" -j "$(nproc)" --target perfbench perfbench_test
+"$PERF_DIR/perfbench_test"
+echo "perfbench stage: OK (benchmark builds and its tests pass)"
+
+# ---------------------------------------------------------------------------
 # Bench smoke: Release build, run two benches with --json and validate the
 # machine-readable output against the tinca-bench-v1 schema.  Release because
 # the JSON contract must hold in the configuration people actually benchmark,

@@ -224,38 +224,22 @@ inline std::unique_ptr<TxnBackend> fuzz_build(const FuzzOptions& o,
       return recover ? ShardedBackend::recover(nvm, disk, s)
                      : ShardedBackend::format(nvm, disk, s);
     }
-    case StackKind::kNvLogClassic: {
-      NvLogStackConfig c;
-      c.log_bytes = kFuzzLogBytes;   // 512 KB log in front of the cache
-      c.log.segment_bytes = 64 * 1024;  // 7 segments → frequent wrap + drain
-      c.inner.journal_blocks = o.journal_blocks;  // same data area as Classic
-      c.inner.cache.io = o.retry;
-      c.cleaner.mode = o.cleaner;
-      c.cleaner.low_water_pct = o.cleaner_low_water_pct;
-      c.cleaner.high_water_pct = o.cleaner_high_water_pct;
-      c.cleaner.sabotage_skip_write =
-          o.sabotage == FuzzSabotage::kCleanerSkipsFlush;
-      c.log.sabotage_skip_commit_flush =
-          o.sabotage == FuzzSabotage::kNvLogSkipsCommitFlush;
-      c.log.sabotage_skip_watermark_flush =
-          o.sabotage == FuzzSabotage::kSkipWatermarkRecordFlush;
-      return recover ? NvLogBackend::recover(nvm, disk, c)
-                     : NvLogBackend::format(nvm, disk, c);
-    }
+    case StackKind::kNvLogClassic:
     case StackKind::kNvLogTinca:
     case StackKind::kNvLogSharded: {
       NvLogStackedConfig c;
       c.log_bytes = kFuzzLogBytes;      // 512 KB log in front of the cache
       c.log.segment_bytes = 64 * 1024;  // 7 segments → frequent wrap + drain
-      c.inner = o.kind == StackKind::kNvLogSharded ? NvLogInner::kSharded
-                                                   : NvLogInner::kTinca;
+      c.inner = nvlog_inner(o.kind);
+      c.classic.journal_blocks = o.journal_blocks;  // same data area as Classic
+      c.classic.cache.io = o.retry;
       c.shards = o.shards;
       c.tinca.ring_bytes = o.ring_bytes;
       c.tinca.num_streams = o.streams;
       c.tinca.io = o.retry;
-      // The inner cache keeps its own threshold cleaner on the harness'
-      // settings; the *log* cleaner (segment drains) is the one the stepped
-      // campaigns arm and crash-sweep.
+      // A Tinca inner keeps its own §11 cleaner on the harness' settings;
+      // the *log* cleaner (segment drains) is the one the stepped campaigns
+      // arm and crash-sweep.
       c.tinca.cleaner.mode = o.cleaner;
       c.tinca.cleaner.low_water_pct = o.cleaner_low_water_pct;
       c.tinca.cleaner.high_water_pct = o.cleaner_high_water_pct;
@@ -312,24 +296,17 @@ inline void fuzz_collect(const FuzzOptions& o, TxnBackend& be,
       add(s.io_retries, s.io_quarantined, s.io_degraded_writes);
       break;
     }
-    case StackKind::kNvLogClassic: {
-      const classic::FlashCacheStats& s =
-          static_cast<NvLogBackend&>(be).inner().stack().cache().stats();
-      add(s.io_retries, s.io_quarantined, s.io_degraded_writes);
-      break;
-    }
-    case StackKind::kNvLogTinca: {
-      const core::TincaCacheStats& s =
-          static_cast<NvLogStackedBackend&>(be).inner_tinca()->cache().stats();
-      add(s.io_retries, s.io_quarantined, s.io_degraded_writes);
-      break;
-    }
+    case StackKind::kNvLogClassic:
+    case StackKind::kNvLogTinca:
     case StackKind::kNvLogSharded: {
-      const core::TincaCacheStats s = static_cast<NvLogStackedBackend&>(be)
-                                          .inner_sharded()
-                                          ->sharded()
-                                          .aggregated_stats();
-      add(s.io_retries, s.io_quarantined, s.io_degraded_writes);
+      // The log tier does no disk I/O of its own: the inner store's
+      // counters are the stack's.
+      FuzzOptions inner = o;
+      inner.kind = StackKind::kShardedTinca;
+      if (o.kind == StackKind::kNvLogClassic)
+        inner.kind = StackKind::kClassicNoJournal;
+      if (o.kind == StackKind::kNvLogTinca) inner.kind = StackKind::kTinca;
+      fuzz_collect(inner, static_cast<NvLogStackedBackend&>(be).inner(), rep);
       break;
     }
   }

@@ -1,11 +1,15 @@
-// TxnBackend stacking the NVM write-ahead tier (src/nvlog/) on top of the
-// REAL transactional stacks (DESIGN.md §16): a full TincaCache or a
-// ShardedTinca front-end, instead of the journal-less Classic store
-// NvLogBackend wraps.  Commits absorb into the log with one flush + fence;
-// sealed segments drain into the inner stack *through its commit_group
-// path*, so a whole coalesced chunk costs the inner one flush pass and one
-// sfence (§14 fence economics), and the inner keeps its own crash
-// consistency — a power cut inside an apply tears nothing.
+// TxnBackend stacking the NVM write-ahead tier (src/nvlog/) on top of an
+// inner store (DESIGN.md §13/§16): a journal-less Classic store, a full
+// TincaCache or a ShardedTinca front-end.  Commits absorb into the log with
+// one flush + fence; sealed segments drain into the inner *through its
+// commit_group path*.  The Classic inner runs WITHOUT its journal — the log
+// tier *is* the write-ahead journal, so any BlockDevice-backed store gains
+// crash consistency by being wrapped here — and TxnBackend's default
+// commit_group turns each drained chunk into begin/stage/commit, every
+// block individually durable on return.  The transactional inners merge a
+// whole coalesced chunk into one flush pass and one sfence (§14 fence
+// economics) and keep their own crash consistency — a power cut inside an
+// apply tears nothing.
 //
 // Sharded inners additionally get shard-affine parallel drains: the tier
 // partitions a segment's coalesced run by `ShardedTinca::shard_of`, this
@@ -28,10 +32,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
+#include "backend/classic_backend.h"
 #include "backend/sharded_backend.h"
 #include "backend/tinca_backend.h"
 #include "backend/txn_backend.h"
@@ -42,17 +46,24 @@
 
 namespace tinca::backend {
 
-/// Which real stack the log drains into.
-enum class NvLogInner : std::uint8_t { kTinca, kSharded };
+/// Which store the log drains into.
+enum class NvLogInner : std::uint8_t {
+  kClassic,  ///< journal-less Classic (Flashcache) store
+  kTinca,    ///< full TincaCache
+  kSharded,  ///< ShardedTinca front-end, shard-affine drains
+};
 
-/// Assembly parameters for the NvLog-over-Tinca/Sharded stacks.
+/// Assembly parameters for the NvLog stacks.
 struct NvLogStackedConfig {
   /// Leading bytes of the NVM device carved out for the log tier; the
   /// remainder backs the inner stack.
   std::uint64_t log_bytes = 8ull << 20;
   nvlog::NvLogConfig log;
   NvLogInner inner = NvLogInner::kTinca;
-  /// Inner cache config (per shard when inner == kSharded).
+  /// Inner store config for kClassic; `journaling` is forced off (the log
+  /// replaces it).
+  classic::ClassicConfig classic;
+  /// Inner cache config for kTinca (per shard for kSharded).
   core::TincaConfig tinca;
   /// Shard count for the kSharded inner.
   std::uint32_t shards = 4;
@@ -106,19 +117,15 @@ class NvLogStackedBackend final : public TxnBackend,
       txn_open_ = false;
       return;
     }
-    {
-      TINCA_TRACE_SPAN(trace_, site_commit_);
-      std::vector<std::pair<std::uint64_t, std::span<const std::byte>>> blocks;
-      blocks.reserve(order_.size());
-      for (std::uint64_t blkno : order_) {
-        TINCA_EXPECT(blkno < data_block_limit(), "write past the data area");
-        blocks.emplace_back(blkno, staged_[blkno]);
-      }
-      // Throws (disk error inside a backpressure drain) leave the staging
-      // intact — the txn stays open for the caller to retry or abort.
-      std::lock_guard<std::mutex> lock(tier_mu_);
-      tier_->absorb_commit(blocks, *this);
+    std::vector<std::pair<std::uint64_t, std::span<const std::byte>>> blocks;
+    blocks.reserve(order_.size());
+    for (std::uint64_t blkno : order_) {
+      TINCA_EXPECT(blkno < data_block_limit(), "write past the data area");
+      blocks.emplace_back(blkno, staged_[blkno]);
     }
+    // Throws (disk error inside a backpressure drain) leave the staging
+    // intact — the txn stays open for the caller to retry or abort.
+    absorb_txn(blocks);
     txn_open_ = false;
     staged_.clear();
     order_.clear();
@@ -203,7 +210,7 @@ class NvLogStackedBackend final : public TxnBackend,
 
   void cleaner_step() override {
     if (cleaner_) cleaner_->step();
-    inner_->cleaner_step();  // the inner cache's own threshold cleaner
+    inner_->cleaner_step();  // the inner cache's own §11 cleaner, if any
   }
 
   [[nodiscard]] std::uint64_t data_block_limit() const override {
@@ -215,7 +222,15 @@ class NvLogStackedBackend final : public TxnBackend,
   }
 
   [[nodiscard]] std::string name() const override {
-    return sharded_ != nullptr ? "NvLog-Sharded" : "NvLog-Tinca";
+    switch (cfg_.inner) {
+      case NvLogInner::kClassic:
+        return "NvLog-Classic";
+      case NvLogInner::kTinca:
+        return "NvLog-Tinca";
+      case NvLogInner::kSharded:
+        return "NvLog-Sharded";
+    }
+    return "NvLog";
   }
 
   void enable_tracing(bool on = true) override {
@@ -322,9 +337,10 @@ class NvLogStackedBackend final : public TxnBackend,
 
   /// The log tier, for stats and tests.
   [[nodiscard]] nvlog::NvLogTier& tier() { return *tier_; }
-  /// The inner stack as its concrete backend (exactly one is non-null).
-  [[nodiscard]] TincaBackend* inner_tinca() { return tinca_.get(); }
-  [[nodiscard]] ShardedBackend* inner_sharded() { return sharded_.get(); }
+  /// The inner store the log drains into.
+  [[nodiscard]] TxnBackend& inner() { return *inner_; }
+  /// The sharded inner, or nullptr for the other inners.
+  [[nodiscard]] ShardedBackend* inner_sharded() { return sharded_; }
 
  private:
   NvLogStackedBackend(nvm::NvmDevice& nvm, blockdev::BlockDevice& disk,
@@ -340,17 +356,28 @@ class NvLogStackedBackend final : public TxnBackend,
     // The cleaner's oracle sabotage knob maps onto the tier's: "mark clean
     // without writing" is exactly a drain that skips its apply.
     cfg.log.sabotage_skip_drain_apply |= cfg.cleaner.sabotage_skip_write;
-    if (cfg.inner == NvLogInner::kSharded) {
-      shard::ShardedConfig sc;
-      sc.num_shards = cfg.shards;
-      sc.shard = cfg.tinca;
-      sharded_ = recover ? ShardedBackend::recover(*store_view_, disk, sc)
-                         : ShardedBackend::format(*store_view_, disk, sc);
-      inner_ = sharded_.get();
-    } else {
-      tinca_ = recover ? TincaBackend::recover(*store_view_, disk, cfg.tinca)
-                       : TincaBackend::format(*store_view_, disk, cfg.tinca);
-      inner_ = tinca_.get();
+    switch (cfg.inner) {
+      case NvLogInner::kClassic:
+        cfg.classic.journaling = false;
+        inner_ = recover
+                     ? ClassicBackend::recover(*store_view_, disk, cfg.classic)
+                     : ClassicBackend::format(*store_view_, disk, cfg.classic);
+        break;
+      case NvLogInner::kTinca:
+        inner_ = recover ? TincaBackend::recover(*store_view_, disk, cfg.tinca)
+                         : TincaBackend::format(*store_view_, disk, cfg.tinca);
+        break;
+      case NvLogInner::kSharded: {
+        shard::ShardedConfig sc;
+        sc.num_shards = cfg.shards;
+        sc.shard = cfg.tinca;
+        std::unique_ptr<ShardedBackend> sharded =
+            recover ? ShardedBackend::recover(*store_view_, disk, sc)
+                    : ShardedBackend::format(*store_view_, disk, sc);
+        sharded_ = sharded.get();
+        inner_ = std::move(sharded);
+        break;
+      }
     }
     tier_ = recover ? nvlog::NvLogTier::recover(*log_view_, cfg.log)
                     : nvlog::NvLogTier::format(*log_view_, cfg.log);
@@ -361,11 +388,11 @@ class NvLogStackedBackend final : public TxnBackend,
   }
 
   /// Apply one ascending batch through the inner's group-commit path,
-  /// chunked to its transaction capacity: each chunk is ONE merged inner
-  /// commit — one flush pass, one sfence (§14) — and durable on return.  A
-  /// crash between chunks just replays the segment (the watermark has not
-  /// advanced), and the inner's own commit protocol keeps each chunk
-  /// atomic.
+  /// chunked to its transaction capacity: each chunk is ONE inner
+  /// commit_group — for the Tinca inners one flush pass and one sfence
+  /// (§14) — and durable on return.  A crash between chunks (or between a
+  /// Classic inner's per-block commits) just replays the segment: the
+  /// watermark has not advanced.
   void apply_chunked(const DrainBatch& blocks) {
     const std::uint64_t chunk =
         std::max<std::uint64_t>(1, inner_->max_txn_blocks());
@@ -421,9 +448,8 @@ class NvLogStackedBackend final : public TxnBackend,
   NvLogStackedConfig cfg_;
   std::unique_ptr<nvm::NvmDevice> log_view_;
   std::unique_ptr<nvm::NvmDevice> store_view_;
-  std::unique_ptr<TincaBackend> tinca_;
-  std::unique_ptr<ShardedBackend> sharded_;
-  TxnBackend* inner_ = nullptr;  ///< whichever of the two is live
+  std::unique_ptr<TxnBackend> inner_;
+  ShardedBackend* sharded_ = nullptr;  ///< inner_, when it is kSharded
   std::unique_ptr<nvlog::NvLogTier> tier_;
   std::unique_ptr<cleaner::Cleaner> cleaner_;
 

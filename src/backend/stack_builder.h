@@ -1,14 +1,13 @@
 // One-stop assembly of a full storage stack for benches, examples and
 // cluster nodes: virtual clock → NVM device → (mem + fault-injection +
 // latency) disk → transactional backend (Tinca or Classic or a §3 ablation
-// variant).
+// variant, optionally behind the NvLog write-ahead tier).
 #pragma once
 
 #include <memory>
 #include <string>
 
 #include "backend/classic_backend.h"
-#include "backend/nvlog_backend.h"
 #include "backend/nvlog_stacked_backend.h"
 #include "backend/sharded_backend.h"
 #include "backend/tinca_backend.h"
@@ -35,6 +34,22 @@ enum class StackKind : std::uint8_t {
   kNvLogSharded,       ///< log tier + shard-affine drains into ShardedTinca
 };
 
+/// The inner store of an NvLog stack kind.
+inline NvLogInner nvlog_inner(StackKind kind) {
+  switch (kind) {
+    case StackKind::kNvLogClassic:
+      return NvLogInner::kClassic;
+    case StackKind::kNvLogTinca:
+      return NvLogInner::kTinca;
+    case StackKind::kNvLogSharded:
+      return NvLogInner::kSharded;
+    default:
+      break;
+  }
+  TINCA_EXPECT(false, "not an NvLog stack kind");
+  return NvLogInner::kTinca;
+}
+
 /// Assembly parameters.
 struct StackConfig {
   StackKind kind = StackKind::kTinca;
@@ -53,12 +68,10 @@ struct StackConfig {
   core::TincaConfig tinca;
   classic::ClassicConfig classic;
   ubj::UbjConfig ubj;
-  /// NvLog tier + inner store for kNvLogClassic (`nvlog.inner` is the inner
-  /// Classic config; the top-level `classic` field is ignored there).
-  NvLogStackConfig nvlog;
-  /// NvLog tier over the real stacks for kNvLogTinca / kNvLogSharded
-  /// (DESIGN.md §16).  The inner cache config and shard count are copied
-  /// from the top-level `tinca` / `tinca_shards` fields at assembly time.
+  /// NvLog tier for kNvLogClassic / kNvLogTinca / kNvLogSharded (DESIGN.md
+  /// §13/§16).  The inner kind follows `kind`; the inner store configs and
+  /// shard count are copied from the top-level `classic` / `tinca` /
+  /// `tinca_shards` fields at assembly time.
   NvLogStackedConfig nvlog_stacked;
   /// Shard count for kShardedTinca (per-shard config comes from `tinca`).
   std::uint32_t tinca_shards = 4;
@@ -120,17 +133,13 @@ class Stack {
         backend_ = ShardedBackend::format(nvm_, disk_, s);
         break;
       }
-      case StackKind::kNvLogClassic: {
-        NvLogStackConfig c = cfg.nvlog;
-        c.inner.cache.io = cfg.disk_retry;
-        backend_ = NvLogBackend::format(nvm_, disk_, c);
-        break;
-      }
+      case StackKind::kNvLogClassic:
       case StackKind::kNvLogTinca:
       case StackKind::kNvLogSharded: {
         NvLogStackedConfig c = cfg.nvlog_stacked;
-        c.inner = cfg.kind == StackKind::kNvLogSharded ? NvLogInner::kSharded
-                                                       : NvLogInner::kTinca;
+        c.inner = nvlog_inner(cfg.kind);
+        c.classic = cfg.classic;
+        c.classic.cache.io = cfg.disk_retry;
         c.tinca = cfg.tinca;
         c.tinca.io = cfg.disk_retry;
         c.shards = cfg.tinca_shards;

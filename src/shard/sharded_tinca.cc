@@ -32,6 +32,9 @@ ShardedTinca::ShardedTinca(nvm::NvmDevice& nvm, blockdev::BlockDevice& disk,
                            ShardedConfig cfg, bool do_format)
     : disk_(disk), cfg_(cfg) {
   TINCA_EXPECT(cfg.num_shards >= 1, "at least one shard required");
+  // A zero cap would let a group-commit leader close empty batches forever.
+  TINCA_EXPECT(cfg.group_max_batch >= 1,
+               "group_max_batch must be at least 1");
   // The cross-stream commit record names participants as (shard, stream)
   // bits of one 64-bit mask (DESIGN.md §15).
   TINCA_EXPECT(static_cast<std::uint64_t>(cfg.num_shards) *
@@ -185,70 +188,20 @@ std::uint32_t ShardedTinca::shard_of(std::uint64_t disk_blkno) const {
 
 void ShardedTinca::commit(ShardedTxn& txn) {
   TINCA_EXPECT(txn.open_, "commit of a closed transaction");
-  if (txn.order_.empty()) {
-    txn.open_ = false;
-    return;
-  }
-
   // With the batcher enabled, a single-shard transaction — the common case —
   // joins its home shard's group-commit queue instead of taking the shard
   // lock directly; concurrent committers then share one ring append, one
-  // flush pass and one fence.  Cross-shard transactions are rare and keep
-  // the legacy ascending-lock path below.
-  if (cfg_.group_commit) {
+  // flush pass and one fence.
+  if (cfg_.group_commit && !txn.order_.empty()) {
     const std::uint32_t sid = shard_of(txn.order_.front());
-    bool single = true;
-    for (std::uint64_t blkno : txn.order_)
-      if (shard_of(blkno) != sid) {
-        single = false;
-        break;
-      }
-    if (single) {
+    if (std::all_of(txn.order_.begin(), txn.order_.end(),
+                    [&](std::uint64_t b) { return shard_of(b) == sid; })) {
       commit_grouped(sid, txn);
       return;
     }
   }
-
-  // Group the staged blocks by home shard, preserving staging order inside
-  // each group.  std::map iterates shards in ascending id — both the lock
-  // acquisition order and the publication order below, so any two
-  // transactions contending on several shards acquire them in the same
-  // global total order (no deadlocks).
-  TINCA_TRACE_SPAN(trace_, ts_commit_);
-  XShardGroups groups;
-  {
-    std::map<std::uint32_t, std::vector<std::uint64_t>> by_shard;
-    for (std::uint64_t blkno : txn.order_)
-      by_shard[shard_of(blkno)].push_back(blkno);
-    for (auto& [sid, blocks] : by_shard)
-      groups[sid].emplace_back(&txn, std::move(blocks));
-  }
-
-  if (groups.size() == 1) {
-    // Single home shard: one lock, the paper's exact protocol.
-    const std::uint32_t sid = groups.begin()->first;
-    Shard& sh = *shards_[sid];
-    std::unique_lock<std::mutex> lock(sh.mu, std::defer_lock);
-    {
-      // Lock-wait span: under contention this is where commit time goes,
-      // and it is invisible to the shards' virtual clocks (lock waits
-      // charge no device time) — hence the wall-clock tracer.
-      TINCA_TRACE_SPAN(trace_, ts_lock_wait_);
-      lock.lock();
-    }
-    TINCA_TRACE_SPAN(trace_, ts_publish_);
-    core::Transaction sub = sh.cache->tinca_init_txn();
-    for (std::uint64_t blkno : groups.begin()->second.front().second)
-      sub.add(blkno, txn.blocks_[blkno]);
-    sh.cache->tinca_commit(sub);
-  } else {
-    // Cross-shard: atomic through one commit-directory record (§15).
-    commit_across_shards(groups, /*member_count=*/1);
-  }
-
-  txn.open_ = false;
-  txn.blocks_.clear();
-  txn.order_.clear();
+  ShardedTxn* const one = &txn;
+  commit_batch(std::span<ShardedTxn* const>(&one, 1));
 }
 
 void ShardedTinca::commit_grouped(std::uint32_t sid, ShardedTxn& txn) {
@@ -284,6 +237,7 @@ void ShardedTinca::commit_grouped(std::uint32_t sid, ShardedTxn& txn) {
     // the shard's per-commit block budget.  The first member always joins
     // even if oversized — tinca_commit's own contract check rejects it.
     std::vector<GroupWaiter*> batch;
+    std::vector<ShardPart> parts;
     std::uint64_t blocks = 0;
     const std::uint64_t cap = sh.cache->max_txn_blocks();
     while (!sh.queue.empty() && batch.size() < cfg_.group_max_batch) {
@@ -292,6 +246,7 @@ void ShardedTinca::commit_grouped(std::uint32_t sid, ShardedTxn& txn) {
       if (!batch.empty() && blocks + n > cap) break;
       sh.queue.pop_front();
       batch.push_back(w);
+      parts.emplace_back(w->txn, w->txn->order_);
       blocks += n;
     }
 
@@ -300,23 +255,7 @@ void ShardedTinca::commit_grouped(std::uint32_t sid, ShardedTxn& txn) {
     bl.unlock();
     std::exception_ptr err;
     try {
-      std::unique_lock<std::mutex> lock(sh.mu, std::defer_lock);
-      {
-        TINCA_TRACE_SPAN(trace_, ts_lock_wait_);
-        lock.lock();
-      }
-      TINCA_TRACE_SPAN(trace_, ts_publish_);
-      std::vector<core::Transaction> subs;
-      subs.reserve(batch.size());
-      for (GroupWaiter* w : batch) {
-        subs.emplace_back(sh.cache->tinca_init_txn());
-        for (std::uint64_t blkno : w->txn->order_)
-          subs.back().add(blkno, w->txn->blocks_[blkno]);
-      }
-      std::vector<core::Transaction*> ptrs;
-      ptrs.reserve(subs.size());
-      for (core::Transaction& t : subs) ptrs.push_back(&t);
-      sh.cache->commit_group(ptrs);
+      commit_on_shard(sid, parts);
     } catch (...) {
       err = std::current_exception();
     }
@@ -344,16 +283,19 @@ void ShardedTinca::commit_batch(std::span<ShardedTxn* const> txns) {
     TINCA_EXPECT(t->open_, "commit of a closed transaction");
   TINCA_TRACE_SPAN(trace_, ts_commit_);
 
-  // Split every member per home shard, then regroup by shard preserving
-  // member order — each shard commits its members' portions as one batch,
-  // in the same ascending shard order the locks are taken in.
+  // Split every member by home shard, preserving staging order inside each
+  // portion and member order inside each shard.  std::map iterates shards
+  // in ascending id — both the lock order and the publication order, so any
+  // two commits contending on several shards acquire them in the same
+  // global total order (no deadlocks).
   XShardGroups groups;
   for (ShardedTxn* t : txns) {
-    std::map<std::uint32_t, std::vector<std::uint64_t>> mine;
-    for (std::uint64_t blkno : t->order_)
-      mine[shard_of(blkno)].push_back(blkno);
-    for (auto& [sid, blocks] : mine)
-      groups[sid].emplace_back(t, std::move(blocks));
+    for (std::uint64_t blkno : t->order_) {
+      std::vector<ShardPart>& parts = groups[shard_of(blkno)];
+      if (parts.empty() || parts.back().first != t)
+        parts.emplace_back(t, std::vector<std::uint64_t>{});
+      parts.back().second.push_back(blkno);
+    }
   }
 
   if (groups.size() > 1) {
@@ -361,25 +303,7 @@ void ShardedTinca::commit_batch(std::span<ShardedTxn* const> txns) {
     // through one cross-stream commit record (§15).
     commit_across_shards(groups, txns.size());
   } else if (!groups.empty()) {
-    auto& [sid, parts] = *groups.begin();
-    Shard& sh = *shards_[sid];
-    std::unique_lock<std::mutex> lock(sh.mu, std::defer_lock);
-    {
-      TINCA_TRACE_SPAN(trace_, ts_lock_wait_);
-      lock.lock();
-    }
-    TINCA_TRACE_SPAN(trace_, ts_publish_);
-    std::vector<core::Transaction> subs;
-    subs.reserve(parts.size());
-    for (auto& [t, blocks] : parts) {
-      subs.emplace_back(sh.cache->tinca_init_txn());
-      for (std::uint64_t blkno : blocks)
-        subs.back().add(blkno, t->blocks_[blkno]);
-    }
-    std::vector<core::Transaction*> ptrs;
-    ptrs.reserve(subs.size());
-    for (core::Transaction& t : subs) ptrs.push_back(&t);
-    sh.cache->commit_group(ptrs);
+    commit_on_shard(groups.begin()->first, groups.begin()->second);
   }
 
   for (ShardedTxn* t : txns) {
@@ -389,6 +313,37 @@ void ShardedTinca::commit_batch(std::span<ShardedTxn* const> txns) {
   }
 }
 
+ShardedTinca::ShardSubs ShardedTinca::build_subs(
+    std::uint32_t sid, const std::vector<ShardPart>& parts) {
+  core::TincaCache& cache = *shards_[sid]->cache;
+  ShardSubs subs;
+  subs.txns.reserve(parts.size());
+  for (const auto& [t, blocks] : parts) {
+    subs.txns.emplace_back(cache.tinca_init_txn());
+    for (std::uint64_t blkno : blocks)
+      subs.txns.back().add(blkno, t->blocks_.at(blkno));
+  }
+  subs.ptrs.reserve(subs.txns.size());
+  for (core::Transaction& t : subs.txns) subs.ptrs.push_back(&t);
+  return subs;
+}
+
+void ShardedTinca::commit_on_shard(std::uint32_t sid,
+                                   const std::vector<ShardPart>& parts) {
+  Shard& sh = *shards_[sid];
+  std::unique_lock<std::mutex> lock(sh.mu, std::defer_lock);
+  {
+    // Lock-wait span: under contention this is where commit time goes,
+    // and it is invisible to the shards' virtual clocks (lock waits charge
+    // no device time) — hence the wall-clock tracer.
+    TINCA_TRACE_SPAN(trace_, ts_lock_wait_);
+    lock.lock();
+  }
+  TINCA_TRACE_SPAN(trace_, ts_publish_);
+  ShardSubs subs = build_subs(sid, parts);
+  sh.cache->commit_group(subs.ptrs);
+}
+
 std::uint64_t ShardedTinca::dir_acquire_slot(std::uint32_t& cid_out) {
   for (;;) {
     std::vector<DirDep> blocking;
@@ -396,9 +351,13 @@ std::uint64_t ShardedTinca::dir_acquire_slot(std::uint32_t& cid_out) {
       std::lock_guard<std::mutex> lk(dir_mu_);
       // Retire every slot whose anchored batches all participants' durable
       // hints have passed: recovery's scan windows no longer reach those
-      // batches, so the records are unreachable and the slots reusable.
+      // batches, so the records are unreachable and the slots reusable.  A
+      // slot with no deps yet belongs to a commit still in flight (deps are
+      // registered after its publish): handing it out again would let two
+      // commits write one record line, and the loser's acked batches would
+      // be dropped by recovery.
       for (DirSlot& slot : dir_slots_) {
-        if (!slot.used) continue;
+        if (!slot.used || slot.deps.empty()) continue;
         bool retirable = true;
         for (const DirDep& d : slot.deps) {
           if (shards_[d.shard]->cache->stream_ring(d.stream).durable_hint() <
@@ -426,6 +385,8 @@ std::uint64_t ShardedTinca::dir_acquire_slot(std::uint32_t& cid_out) {
       for (const DirSlot& slot : dir_slots_)
         blocking.insert(blocking.end(), slot.deps.begin(), slot.deps.end());
     }
+    // Only in-flight commits pin the slots: wait for one to register.
+    if (blocking.empty()) std::this_thread::yield();
     std::unordered_set<std::uint32_t> synced;
     for (const DirDep& d : blocking) {
       if (!synced.insert(d.shard).second) continue;
@@ -461,50 +422,57 @@ void ShardedTinca::commit_across_shards(const XShardGroups& groups,
   std::uint64_t mask = 0;
   std::vector<DirDep> deps;
   deps.reserve(groups.size());
-  std::vector<std::vector<core::Transaction>> subs_store;
+  std::vector<ShardSubs> subs_store;
   subs_store.reserve(groups.size());
-  for (auto& [sid, parts] : groups) {
-    core::TincaCache& cache = *shards_[sid]->cache;
-    std::vector<core::Transaction> subs;
-    subs.reserve(parts.size());
-    for (const auto& [t, blocks] : parts) {
-      subs.emplace_back(cache.tinca_init_txn());
-      for (std::uint64_t blkno : blocks)
-        subs.back().add(blkno, t->blocks_.at(blkno));
+  try {
+    for (auto& [sid, parts] : groups) {
+      core::TincaCache& cache = *shards_[sid]->cache;
+      ShardSubs subs = build_subs(sid, parts);
+      const bool staged = cache.batch_stage(subs.ptrs, cid);
+      TINCA_ENSURE(staged, "cross-shard member with no blocks on its shard");
+      mask |= 1ull << (static_cast<std::uint64_t>(sid) * streams +
+                       cache.batch_stream());
+      deps.push_back({sid, cache.batch_stream(), cache.batch_end()});
+      subs_store.push_back(std::move(subs));
     }
-    std::vector<core::Transaction*> ptrs;
-    ptrs.reserve(subs.size());
-    for (core::Transaction& t : subs) ptrs.push_back(&t);
-    const bool staged = cache.batch_stage(ptrs, cid);
-    TINCA_ENSURE(staged, "cross-shard member with no blocks on its shard");
-    mask |= 1ull << (static_cast<std::uint64_t>(sid) * streams +
-                     cache.batch_stream());
-    deps.push_back({sid, cache.batch_stream(), cache.batch_end()});
-    subs_store.push_back(std::move(subs));
+  } catch (...) {
+    // No record was staged yet: give the in-flight slot back, or it would
+    // stay pinned forever (retirement skips slots without deps).
+    std::lock_guard<std::mutex> lk(dir_mu_);
+    dir_slots_[slot].used = false;
+    throw;
   }
 
   // Phase 2 — flush every participant's batch (no fences yet).
   for (auto& [sid, parts] : groups) shards_[sid]->cache->batch_flush();
 
-  // Phase 3 — the commit record: ONE 64 B line naming every participating
-  // (shard, stream), flushed in the same pass, then ONE sfence for the
-  // whole transaction.  The record's flush is the atomic commit point: a
-  // crash before it rolls every shard back, after it commits every shard.
-  const core::CommitRecord rec{cid, mask, member_count};
-  const auto [rec_off, rec_len] =
-      core::CommitDirectory::stage(*dir_view_, slot, rec, dir_epoch_);
-  dir_view_->injector.point();  // CP: batches flushed, record staged only
-  if (!cfg_.sabotage_skip_commit_record_flush)
-    dir_view_->clflush(rec_off, rec_len);
-  dir_view_->injector.point();  // CP: record durable, nothing published
-  shards_[groups.begin()->first]->view->sfence();
-  shards_[groups.begin()->first]->cache->note_shared_fence();
+  {
+    // Cross-shard commits on disjoint shard sets reach this point
+    // concurrently: the directory view's counters and clock are shared, and
+    // the seqlock needs a single writer.
+    std::lock_guard<std::mutex> xl(xshard_mu_);
 
-  // Phase 4 — publish all participants inside the seqlock's odd window, so
-  // open_snapshot() can never pin a cut between two shards' epoch bumps.
-  xshard_seq_.fetch_add(1, std::memory_order_acq_rel);
-  for (auto& [sid, parts] : groups) shards_[sid]->cache->batch_publish();
-  xshard_seq_.fetch_add(1, std::memory_order_release);
+    // Phase 3 — the commit record: ONE 64 B line naming every participating
+    // (shard, stream), flushed in the same pass, then ONE sfence for the
+    // whole transaction.  The record's flush is the atomic commit point: a
+    // crash before it rolls every shard back, after it commits every shard.
+    const core::CommitRecord rec{cid, mask, member_count};
+    const auto [rec_off, rec_len] =
+        core::CommitDirectory::stage(*dir_view_, slot, rec, dir_epoch_);
+    dir_view_->injector.point();  // CP: batches flushed, record staged only
+    if (!cfg_.sabotage_skip_commit_record_flush)
+      dir_view_->clflush(rec_off, rec_len);
+    dir_view_->injector.point();  // CP: record durable, nothing published
+    shards_[groups.begin()->first]->view->sfence();
+    shards_[groups.begin()->first]->cache->note_shared_fence();
+
+    // Phase 4 — publish all participants inside the seqlock's odd window,
+    // so open_snapshot() can never pin a cut between two shards' epoch
+    // bumps.
+    xshard_seq_.fetch_add(1, std::memory_order_acq_rel);
+    for (auto& [sid, parts] : groups) shards_[sid]->cache->batch_publish();
+    xshard_seq_.fetch_add(1, std::memory_order_release);
+  }
 
   // Register the slot's reuse gate: the record must stay until every
   // participant's durable hint passes its anchored batch.

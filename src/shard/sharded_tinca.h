@@ -64,14 +64,14 @@ struct ShardedConfig {
   core::TincaConfig shard;
   /// Leader/follower group commit (DESIGN.md §14): concurrent single-shard
   /// committers targeting the same shard batch into one coalesced ring
-  /// append, one flush pass and one fence.  Cross-shard transactions always
-  /// take the legacy ascending-lock path.
+  /// append, one flush pass and one fence.  Cross-shard transactions commit
+  /// through the cross-stream commit record (§15) either way.
   bool group_commit = false;
   /// How long (wall-clock µs) a batch leader lingers for followers before
   /// closing its batch.  0 closes the batch as soon as the queue drains.
   std::uint32_t group_linger_us = 50;
   /// The leader closes a batch early once this many transactions are queued
-  /// (bounds commit latency under bursts).
+  /// (bounds commit latency under bursts).  Must be at least 1.
   std::uint32_t group_max_batch = 32;
   /// Fault-injection self-test hook: skip the clflush of the cross-stream
   /// commit record.  A sabotaged stack must FAIL the crash oracles (an acked
@@ -204,10 +204,12 @@ class ShardedTinca {
   /// Initiate a running transaction (DRAM staging only).
   [[nodiscard]] ShardedTxn init_txn() const { return ShardedTxn(); }
 
-  /// Durably commit `txn`.  Single-shard transactions take one lock and the
-  /// paper's exact protocol; cross-shard transactions lock ascending, stage
-  /// one anchored batch per involved shard and commit them all atomically
-  /// through one cross-stream commit record (DESIGN.md §15).
+  /// Durably commit `txn`: the batch-of-one case of commit_batch().
+  /// Single-shard transactions take one lock and the paper's exact protocol
+  /// (or join the shard's group-commit batcher when cfg.group_commit is
+  /// set); cross-shard transactions lock ascending, stage one anchored batch
+  /// per involved shard and commit them all atomically through one
+  /// cross-stream commit record (DESIGN.md §15).
   void commit(ShardedTxn& txn);
 
   /// Commit several running transactions as one deterministic batch
@@ -358,12 +360,28 @@ class ShardedTinca {
   /// durable or rethrows the batch's failure.
   void commit_grouped(std::uint32_t sid, ShardedTxn& txn);
 
-  /// Per-shard member portions of a cross-shard commit: shard id → the
-  /// member transactions contributing there, each with its block list for
-  /// that shard (ascending shard order, hence lock order).
-  using XShardGroups =
-      std::map<std::uint32_t,
-               std::vector<std::pair<ShardedTxn*, std::vector<std::uint64_t>>>>;
+  /// One member transaction's blocks on one shard, in staging order.
+  using ShardPart = std::pair<ShardedTxn*, std::vector<std::uint64_t>>;
+
+  /// Per-shard member portions of a commit: shard id → the member
+  /// transactions contributing there, in member order (ascending shard
+  /// order, hence lock order).
+  using XShardGroups = std::map<std::uint32_t, std::vector<ShardPart>>;
+
+  /// One core::Transaction per member portion on one shard, plus the
+  /// pointer view commit_group/batch_stage take.  Returned by build_subs().
+  struct ShardSubs {
+    std::vector<core::Transaction> txns;
+    std::vector<core::Transaction*> ptrs;
+  };
+
+  /// Build shard `sid`'s sub-transactions for `parts` — the one place
+  /// member blocks are copied into a shard's Transactions.
+  ShardSubs build_subs(std::uint32_t sid, const std::vector<ShardPart>& parts);
+
+  /// Lock shard `sid` and commit `parts` as one group: one coalesced ring
+  /// append, one flush pass, one fence (DESIGN.md §14).
+  void commit_on_shard(std::uint32_t sid, const std::vector<ShardPart>& parts);
 
   /// Atomic cross-shard commit (DESIGN.md §15): one anchored batch per
   /// involved shard, one commit-directory record, ONE fence.  `groups` must
@@ -409,6 +427,10 @@ class ShardedTinca {
   /// commit is publishing its per-shard epoch bumps, so open_snapshot()
   /// never pins a cut that splits an atomic transaction.
   std::atomic<std::uint64_t> xshard_seq_{0};
+  /// Serializes cross-shard commit points (record stage + flush + fence +
+  /// publish window): the seqlock's single writer.  Taken after the
+  /// participants' shard mutexes, never while holding dir_mu_.
+  std::mutex xshard_mu_;
 
   obs::Tracer trace_{"shard."};  ///< wall-clock tracer (many threads)
   obs::Tracer::Site* ts_commit_ = trace_.site("commit");

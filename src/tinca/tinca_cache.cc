@@ -641,45 +641,24 @@ void TincaCache::ensure_free(std::uint32_t entries, std::uint32_t blocks) {
 }
 
 void TincaCache::clean_to_threshold() {
-  if (cleaner_) {
-    // Cleaner configured: this path only *nominates* blocks; the actual disk
-    // writes happen on cleaner steps.  Above the high watermark, feed the
-    // queue oldest-first so the next steps have something batched to drain.
-    const std::uint64_t high =
-        layout_.num_blocks * cleaner_->config().high_water_pct / 100;
-    if (dirty_count_ <= high) return;
-    std::uint64_t excess = dirty_count_ - high;
-    std::uint32_t slot = lru_.lru();
-    while (slot != SlotLru::kNil && excess > 0) {
-      const CacheEntry& e = mirror_[slot];
-      if (e.valid && e.modified && e.role == Role::kBuffer &&
-          !quarantine_.contains(e.disk_blkno) &&
-          !cleaner_->pending(e.disk_blkno)) {
-        if (!cleaner_->try_enqueue(e.disk_blkno)) break;  // queue full
-        --excess;
-      }
-      slot = lru_.newer(slot);
-    }
-    return;
-  }
-  if (cfg_.clean_thresh_pct >= 100) return;
-  const std::uint64_t limit =
-      layout_.num_blocks * cfg_.clean_thresh_pct / 100;
-  // The incremental counter replaces the old O(capacity) index rescan that
-  // this path used to perform on every single commit.
-  if (dirty_count_ <= limit) return;
-  // Oldest-first: walk from the LRU end, skipping pinned (log-role) blocks.
+  // This path only *nominates* blocks; the actual disk writes happen on
+  // cleaner steps.  Above the high watermark, feed the queue oldest-first
+  // so the next steps have something batched to drain.
+  if (!cleaner_) return;
+  const std::uint64_t high =
+      layout_.num_blocks * cleaner_->config().high_water_pct / 100;
+  if (dirty_count_ <= high) return;
+  std::uint64_t excess = dirty_count_ - high;
   std::uint32_t slot = lru_.lru();
-  while (slot != SlotLru::kNil && dirty_count_ > limit) {
-    const std::uint32_t next = lru_.newer(slot);
-    CacheEntry e = mirror_[slot];
-    if (e.valid && e.modified && e.role == Role::kBuffer && writeback(slot)) {
-      e.modified = false;
-      write_entry(slot, e);  // decrements dirty_count_
-      ++stats_.dirty_writebacks;
-      ++stats_.background_cleanings;
+  while (slot != SlotLru::kNil && excess > 0) {
+    const CacheEntry& e = mirror_[slot];
+    if (e.valid && e.modified && e.role == Role::kBuffer &&
+        !quarantine_.contains(e.disk_blkno) &&
+        !cleaner_->pending(e.disk_blkno)) {
+      if (!cleaner_->try_enqueue(e.disk_blkno)) break;  // queue full
+      --excess;
     }
-    slot = next;
+    slot = lru_.newer(slot);
   }
 }
 

@@ -72,11 +72,6 @@ struct TincaConfig {
   /// to disk at the end of every commit (durability on *two* devices at the
   /// cost of foreground disk writes).
   bool write_through = false;
-  /// Extension (not in the paper): background cleaning threshold in percent
-  /// of capacity.  When more than this fraction of cached blocks is dirty,
-  /// commits trigger oldest-first write-back until the threshold is met —
-  /// making later evictions cheap.  100 disables cleaning (paper behaviour).
-  std::uint32_t clean_thresh_pct = 100;
   /// Wear-aware NVM data-block allocation: the free list becomes a FIFO
   /// rotation (freed blocks rejoin at the back) and is seeded least-worn
   /// first from NvmDevice::wear() at format/recovery, so hot disk blocks
@@ -94,9 +89,9 @@ struct TincaConfig {
   /// force write-through degradation (DESIGN.md §9).
   blockdev::RetryPolicy io{};
   /// Background cleaner (DESIGN.md §11).  With mode != kDisabled, eviction
-  /// of dirty victims, threshold cleaning and degraded write-through enqueue
-  /// to the cleaner instead of writing to disk on the commit path;
-  /// clean_thresh_pct is superseded by the cleaner's watermarks.
+  /// of dirty victims, high-watermark cleaning and degraded write-through
+  /// enqueue to the cleaner instead of writing to disk on the commit path.
+  /// kDisabled is the paper's behaviour: dirty blocks stay until replaced.
   cleaner::CleanerConfig cleaner{};
 };
 
@@ -397,8 +392,8 @@ class TincaCache : private cleaner::CleanerClient {
   /// Number of free NVM data blocks.
   [[nodiscard]] std::uint64_t free_blocks() const { return free_blocks_.count(); }
 
-  /// Number of cached blocks that are dirty (maintained incrementally; the
-  /// old full-index scan per commit was O(capacity) — see clean_to_threshold).
+  /// Number of cached blocks that are dirty (maintained incrementally, so
+  /// the per-commit cleaner check costs O(1) — see clean_to_threshold).
   [[nodiscard]] std::uint64_t dirty_blocks() const { return dirty_count_; }
 
   /// Largest transaction (in blocks) this cache can commit.
@@ -503,6 +498,8 @@ class TincaCache : private cleaner::CleanerClient {
   void ensure_free(std::uint32_t entries, std::uint32_t blocks);
   std::uint32_t evict_one(std::uint32_t scan_from);
   bool writeback(std::uint32_t slot);
+  /// After each commit: above the cleaner's high watermark, enqueue the
+  /// oldest dirty blocks for its next steps.  No-op without a cleaner.
   void clean_to_threshold();
 
   // CleanerClient (the cleaner retires dirty blocks through these).

@@ -19,9 +19,10 @@
 #include <thread>
 #include <vector>
 
-#include "backend/nvlog_backend.h"
+#include "backend/nvlog_stacked_backend.h"
 #include "blockdev/mem_block_device.h"
 #include "common/bytes.h"
+#include "common/expect.h"
 #include "common/rng.h"
 #include "shard/sharded_tinca.h"
 #include "tinca/tinca_cache.h"
@@ -281,6 +282,17 @@ ShardedConfig grouped_cfg(std::uint32_t linger_us = 0) {
   return cfg;
 }
 
+// A zero batch cap would make the leader close empty batches forever (the
+// queue never drains, the committer never returns): format rejects it.
+TEST(ShardedGroupCommit, ZeroMaxBatchIsRejectedAtFormat) {
+  sim::SimClock clock;
+  nvm::NvmDevice dev(1 << 20, nvdimm_profile(), clock);
+  blockdev::MemBlockDevice disk(1 << 14);
+  ShardedConfig cfg = grouped_cfg();
+  cfg.group_max_batch = 0;
+  EXPECT_THROW(ShardedTinca::format(dev, disk, cfg), ContractViolation);
+}
+
 // An aborted transaction rolls back only its own blocks: commits batched
 // around it (before, after, same shard or not) are untouched.
 TEST(ShardedGroupCommit, AbortRollsBackOnlyItsOwnBlocks) {
@@ -490,8 +502,9 @@ std::vector<std::byte> block_of(std::uint64_t seed) {
   return b;
 }
 
-NvLogStackConfig nvlog_cfg() {
-  NvLogStackConfig cfg;
+NvLogStackedConfig nvlog_cfg() {
+  NvLogStackedConfig cfg;
+  cfg.inner = NvLogInner::kClassic;
   cfg.log_bytes = 1 << 19;
   cfg.log.segment_bytes = 64 * 1024;
   return cfg;
@@ -512,7 +525,7 @@ TEST(NvLogGroupCommit, GroupAbsorbMergesMembersWithOneCommitRecord) {
   sim::SimClock clock;
   nvm::NvmDevice dev(1 << 21, nvdimm_profile(), clock);
   blockdev::MemBlockDevice disk(1 << 14);
-  auto be = NvLogBackend::format(dev, disk, nvlog_cfg());
+  auto be = NvLogStackedBackend::format(dev, disk, nvlog_cfg());
 
   std::vector<GroupTxn> batch;
   batch.push_back(member_of({{10, 1}, {11, 2}}));
@@ -541,7 +554,7 @@ TEST(NvLogGroupCommit, GroupAbsorbMergesMembersWithOneCommitRecord) {
 TEST(NvLogGroupCommitCrash, GroupAbsorbCutsAreAllOrNothing) {
   const auto run = [](nvm::NvmDevice& dev, blockdev::MemBlockDevice& disk,
                       std::uint64_t crash_step, bool* crashed) {
-    auto be = NvLogBackend::format(dev, disk, nvlog_cfg());
+    auto be = NvLogStackedBackend::format(dev, disk, nvlog_cfg());
     be->begin();
     const std::vector<std::byte> pre = block_of(99);
     be->stage(10, pre);
@@ -585,7 +598,7 @@ TEST(NvLogGroupCommitCrash, GroupAbsorbCutsAreAllOrNothing) {
     run(dev, disk, k, &crashed);
     ASSERT_TRUE(crashed) << "step " << k;
     dev.crash(rng, 0.5);
-    auto be = NvLogBackend::recover(dev, disk, nvlog_cfg());
+    auto be = NvLogStackedBackend::recover(dev, disk, nvlog_cfg());
 
     std::vector<std::byte> buf(kBlockSize);
     be->read_block(10, buf);

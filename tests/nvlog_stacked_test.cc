@@ -1,14 +1,15 @@
-// Deep-stacked NvLog tier tests (DESIGN.md §16): the write-ahead log
-// draining into the REAL transactional stacks — a full TincaCache or the
-// sharded front-end — through their commit_group path, with shard-affine
+// NvLog stack tests (DESIGN.md §13/§16): the write-ahead log draining into
+// its inner store — journal-less Classic, a full TincaCache or the sharded
+// front-end — through the inner's commit_group path, with shard-affine
 // parallel drains and the rotating watermark record ring.
 //
-// The centerpiece is a per-step crash sweep over a multi-shard history with
-// periodic flushes: the injector steps through every NVM store point —
-// absorb fences, shard-batch boundaries inside a partitioned drain, the
-// watermark-record cut, and the inner cache's own commit protocol — then
-// re-crashes mid-drain after the first recovery to prove the replay is
-// idempotent against an inner that already applied some chunks.
+// The centerpiece is a per-step crash sweep, run over all three inners, of
+// a multi-shard history with periodic flushes: the injector steps through
+// every NVM store point — absorb fences, shard-batch boundaries inside a
+// partitioned drain, the watermark-record cut, and the inner's own commit
+// protocol — then re-crashes mid-drain after the first recovery to prove
+// the replay is idempotent against an inner that already applied some
+// chunks.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -30,6 +31,13 @@ constexpr std::size_t kLogBytes = 1 << 19;
 // Log carve-out + two 512 KB shard slices (the Tinca inner just gets both).
 constexpr std::size_t kNvmBytes = (2u << 19) + kLogBytes;
 
+/// NVM size for `inner`: the Classic inner's Flashcache needs one full
+/// 256-slot set (1.5 MB) behind the log.
+std::size_t nvm_bytes(backend::NvLogInner inner) {
+  return inner == backend::NvLogInner::kClassic ? (3u << 19) + kLogBytes
+                                                : kNvmBytes;
+}
+
 std::vector<std::byte> block_of(std::uint64_t seed) {
   std::vector<std::byte> b(kBlock);
   fill_pattern(b, seed);
@@ -43,6 +51,9 @@ backend::NvLogStackedConfig stacked_cfg(backend::NvLogInner inner) {
   cfg.inner = inner;
   cfg.shards = 2;
   cfg.tinca.ring_bytes = 64 * 1024;
+  // The Classic inner never journals, but the reserved area still bounds
+  // the data blocks; keep it small for the 4096-block test disk.
+  cfg.classic.journal_blocks = 512;
   return cfg;
 }
 
@@ -144,10 +155,11 @@ class NvLogStackedCrash
 
 TEST_P(NvLogStackedCrash, EveryStepRecoversAndReCrashMidDrainIsIdempotent) {
   const backend::NvLogStackedConfig cfg = stacked_cfg(GetParam());
+  const std::size_t nvm_size = nvm_bytes(GetParam());
 
   // Learn the step count with a disarmed probe run.
   sim::SimClock probe_clock;
-  nvm::NvmDevice probe_nvm(kNvmBytes, nvdimm_profile(), probe_clock);
+  nvm::NvmDevice probe_nvm(nvm_size, nvdimm_profile(), probe_clock);
   blockdev::MemBlockDevice probe_disk(1 << 12);
   const SweepRun full = run_sweep(probe_nvm, probe_disk, cfg, 0);
   ASSERT_FALSE(full.crashed);
@@ -160,7 +172,7 @@ TEST_P(NvLogStackedCrash, EveryStepRecoversAndReCrashMidDrainIsIdempotent) {
   Rng rng(7);
   for (std::uint64_t step = 1; step <= full.steps; ++step) {
     sim::SimClock clock;
-    nvm::NvmDevice nvm(kNvmBytes, nvdimm_profile(), clock);
+    nvm::NvmDevice nvm(nvm_size, nvdimm_profile(), clock);
     blockdev::MemBlockDevice disk(1 << 12);
     const SweepRun run = run_sweep(nvm, disk, cfg, step);
     ASSERT_TRUE(run.crashed) << "step " << step << " did not crash";
@@ -184,7 +196,7 @@ TEST_P(NvLogStackedCrash, EveryStepRecoversAndReCrashMidDrainIsIdempotent) {
 
       // Re-crash mid-drain: a rotating second cut lands on every drain
       // window over the sweep — coalesce, shard-batch boundaries, inner
-      // commit_group steps, watermark-record cut.
+      // commit steps, watermark-record cut.
       nvm.injector.arm(step % 7 + 1);
       try {
         rec->flush();
@@ -208,12 +220,19 @@ TEST_P(NvLogStackedCrash, EveryStepRecoversAndReCrashMidDrainIsIdempotent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothInners, NvLogStackedCrash,
-                         ::testing::Values(backend::NvLogInner::kTinca,
+                         ::testing::Values(backend::NvLogInner::kClassic,
+                                           backend::NvLogInner::kTinca,
                                            backend::NvLogInner::kSharded),
                          [](const auto& pinfo) {
-                           return pinfo.param == backend::NvLogInner::kTinca
-                                      ? "Tinca"
-                                      : "Sharded";
+                           switch (pinfo.param) {
+                             case backend::NvLogInner::kClassic:
+                               return "Classic";
+                             case backend::NvLogInner::kTinca:
+                               return "Tinca";
+                             case backend::NvLogInner::kSharded:
+                               break;
+                           }
+                           return "Sharded";
                          });
 
 TEST(NvLogStacked, RoundtripThroughBothInners) {

@@ -3,15 +3,15 @@
 // Covers the log tier in isolation (absorb / lookup / coalescing drain /
 // recovery, torn log tail, segment wrap-around with a live unreplayed
 // prefix, the sabotage self-test proving the commit flush is load-bearing)
-// and the assembled NvLogBackend under a full crash-point sweep including a
-// re-crash mid-drain — the pull-the-plug test of §5.1, made exhaustive.
+// and the assembled NvLog stack over its journal-less Classic inner (its
+// full crash-point sweep lives in nvlog_stacked_test).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <optional>
 #include <vector>
 
-#include "backend/nvlog_backend.h"
+#include "backend/nvlog_stacked_backend.h"
 #include "blockdev/mem_block_device.h"
 #include "common/bytes.h"
 #include "nvlog/log_meta.h"
@@ -365,172 +365,30 @@ TEST(NvLogTier, MetricsRegistration) {
 }
 
 // ---------------------------------------------------------------------------
-// Assembled backend: crash-point sweep with re-crash mid-drain.
+// Assembled backend over the journal-less Classic inner.  Its per-step crash
+// sweep runs as the Classic instantiation of nvlog_stacked_test's
+// NvLogStackedCrash.
 // ---------------------------------------------------------------------------
 
-using Expected = std::map<std::uint64_t, std::uint64_t>;
-
-backend::NvLogStackConfig sweep_cfg() {
-  backend::NvLogStackConfig cfg;
+backend::NvLogStackedConfig classic_cfg() {
+  backend::NvLogStackedConfig cfg;
+  cfg.inner = backend::NvLogInner::kClassic;
   cfg.log_bytes = kLogBytes;
   cfg.log.segment_bytes = kSegBytes;
   // The inner store never journals, but the reserved area still bounds the
   // data blocks; keep it small for the 4096-block test disk.
-  cfg.inner.journal_blocks = 512;
+  cfg.classic.journal_blocks = 512;
   return cfg;
 }
 
-constexpr std::size_t kSweepNvmBytes = (3u << 19) + kLogBytes;
-
-std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
-sweep_history() {
-  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> h;
-  std::uint64_t seed = 1;
-  for (int t = 0; t < 8; ++t) {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> txn;
-    for (int b = 0; b < 4; ++b) {
-      const std::uint64_t blkno =
-          (b % 2 == 0) ? static_cast<std::uint64_t>(t * 4 + b)
-                       : static_cast<std::uint64_t>(b);
-      txn.emplace_back(blkno, seed++);
-    }
-    h.push_back(std::move(txn));
-  }
-  return h;
-}
-
-struct SweepRun {
-  Expected committed;
-  std::size_t committed_txns = 0;
-  std::uint64_t steps = 0;
-  bool crashed = false;
-};
-
-SweepRun run_sweep(nvm::NvmDevice& nvm, blockdev::MemBlockDevice& disk,
-                   std::uint64_t crash_step) {
-  auto be = backend::NvLogBackend::format(nvm, disk, sweep_cfg());
-  nvm.injector.disarm();
-  if (crash_step > 0) nvm.injector.arm(crash_step);
-  SweepRun r;
-  const auto history = sweep_history();
-  try {
-    for (std::size_t t = 0; t < history.size(); ++t) {
-      be->begin();
-      for (const auto& [blkno, seed] : history[t]) {
-        const auto data = block_of(seed);
-        be->stage(blkno, data);
-      }
-      be->commit();
-      for (const auto& [blkno, seed] : history[t]) r.committed[blkno] = seed;
-      ++r.committed_txns;
-      // Periodic drains put the apply / prefix-advance crash points in play.
-      if (t % 3 == 2) be->flush();
-    }
-    be->flush();
-  } catch (const nvm::CrashException&) {
-    r.crashed = true;
-  }
-  r.steps = nvm.injector.steps_seen();
-  nvm.injector.disarm();
-  return r;
-}
-
-/// Reads the full block universe through `be` and matches it against one of
-/// `acceptable` (committed state, or committed + the ambiguous last txn).
-bool state_matches(backend::NvLogBackend& be,
-                   const std::vector<Expected>& acceptable,
-                   const Expected& universe) {
-  std::vector<std::byte> buf(kBlock);
-  const auto zero = fingerprint(std::vector<std::byte>(kBlock, std::byte{0}));
-  for (const Expected& exp : acceptable) {
-    bool match = true;
-    for (const auto& [blkno, _] : universe) {
-      be.read_block(blkno, buf);
-      auto it = exp.find(blkno);
-      const std::uint64_t want =
-          it != exp.end() ? fingerprint(block_of(it->second)) : zero;
-      if (fingerprint(buf) != want) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return true;
-  }
-  return false;
-}
-
-std::vector<Expected> acceptable_states(const SweepRun& run) {
-  std::vector<Expected> acceptable{run.committed};
-  const auto history = sweep_history();
-  if (run.committed_txns < history.size()) {
-    // The in-flight txn's absorb may have reached its fence before the
-    // crash hit between durability and the commit call returning.
-    Expected with_next = run.committed;
-    for (const auto& [blkno, seed] : history[run.committed_txns])
-      with_next[blkno] = seed;
-    acceptable.push_back(with_next);
-  }
-  return acceptable;
-}
-
-TEST(NvLogBackendCrash, EveryStepRecoversAndReCrashMidDrainIsIdempotent) {
-  // Learn the step count with a disarmed probe run.
-  sim::SimClock probe_clock;
-  nvm::NvmDevice probe_nvm(kSweepNvmBytes, nvdimm_profile(), probe_clock);
-  blockdev::MemBlockDevice probe_disk(1 << 12);
-  const SweepRun full = run_sweep(probe_nvm, probe_disk, 0);
-  ASSERT_FALSE(full.crashed);
-  ASSERT_GT(full.steps, 50u);
-
-  Expected universe;
-  for (const auto& txn : sweep_history())
-    for (const auto& [blkno, seed] : txn) universe[blkno] = seed;
-
-  Rng rng(7);
-  for (std::uint64_t step = 1; step <= full.steps; ++step) {
-    sim::SimClock clock;
-    nvm::NvmDevice nvm(kSweepNvmBytes, nvdimm_profile(), clock);
-    blockdev::MemBlockDevice disk(1 << 12);
-    const SweepRun run = run_sweep(nvm, disk, step);
-    ASSERT_TRUE(run.crashed) << "step " << step << " did not crash";
-    nvm.crash(rng, 0.5);
-
-    const auto acceptable = acceptable_states(run);
-    {
-      auto rec = backend::NvLogBackend::recover(nvm, disk, sweep_cfg());
-      ASSERT_TRUE(state_matches(*rec, acceptable, universe))
-          << "inconsistent recovery after crash at step " << step;
-
-      // Re-crash mid-drain: arm a rotating step inside the unmount drain,
-      // so over the sweep the second crash lands on every drain window
-      // (coalesce, apply, prefix advance, prefix persist).
-      nvm.injector.arm(step % 5 + 1);
-      try {
-        rec->flush();
-      } catch (const nvm::CrashException&) {
-      }
-      nvm.injector.disarm();
-    }
-    nvm.crash(rng, 0.5);
-
-    // Second recovery must land in the same acceptable set (draining moves
-    // data between tiers, never changes what a read returns), and a full
-    // drain afterwards must leave the log empty with the state intact.
-    auto rec2 = backend::NvLogBackend::recover(nvm, disk, sweep_cfg());
-    ASSERT_TRUE(state_matches(*rec2, acceptable, universe))
-        << "re-crash mid-drain broke recovery at step " << step;
-    rec2->flush();
-    EXPECT_EQ(rec2->tier().live_records(), 0u);
-    ASSERT_TRUE(state_matches(*rec2, acceptable, universe))
-        << "post-drain state diverged at step " << step;
-  }
-}
+constexpr std::size_t kClassicNvmBytes = (3u << 19) + kLogBytes;
 
 TEST(NvLogBackend, ReadsHitLogThenFallThrough) {
   sim::SimClock clock;
-  nvm::NvmDevice nvm(kSweepNvmBytes, nvdimm_profile(), clock);
+  nvm::NvmDevice nvm(kClassicNvmBytes, nvdimm_profile(), clock);
   blockdev::MemBlockDevice disk(1 << 12);
-  auto be = backend::NvLogBackend::format(nvm, disk, sweep_cfg());
+  auto be = backend::NvLogStackedBackend::format(nvm, disk, classic_cfg());
+  EXPECT_EQ(be->name(), "NvLog-Classic");
 
   be->begin();
   const auto d1 = block_of(71);
@@ -603,7 +461,7 @@ TEST(WearLevel, TincaWearLevelledCacheRoundtrips) {
   core::TincaConfig cfg;
   cfg.ring_bytes = 4096;
   cfg.wear_level = true;
-  Expected expected;
+  std::map<std::uint64_t, std::uint64_t> expected;  // blkno -> newest seed
   {
     auto cache = core::TincaCache::format(nvm, disk, cfg);
     std::uint64_t seed = 500;

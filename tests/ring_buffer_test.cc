@@ -247,9 +247,10 @@ TEST(RingBuffer, WrapAroundSurvivesDiskErrorsMidAppendStream) {
   blockdev::MemBlockDevice mem(1 << 12);
   blockdev::FaultyBlockDevice disk(mem, {}, &clock, &nvm.injector);
 
+  // No cleaner: evictions write dirty victims back inside the commit loop,
+  // so the transients below land on foreground write-backs.
   TincaConfig cfg;
   cfg.ring_bytes = kRing;
-  cfg.clean_thresh_pct = 50;  // cleaning keeps write-backs in the commit loop
   auto cache = TincaCache::format(nvm, disk, cfg);
 
   // 150 transactions × 4 blocks = 750 ring records > 128 slots: many wraps.

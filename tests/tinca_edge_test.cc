@@ -83,10 +83,14 @@ TEST(TincaEdge, BackgroundCleanerKeepsDirtyFractionBounded) {
   nvm::NvmDevice dev(1 << 20, nvdimm_profile(), clock);
   blockdev::MemBlockDevice disk(1 << 14);
   TincaConfig cfg{.ring_bytes = 4096};
-  cfg.clean_thresh_pct = 25;
+  cfg.cleaner.mode = cleaner::CleanerMode::kStepped;
+  cfg.cleaner.high_water_pct = 25;
   auto cache = TincaCache::format(dev, disk, cfg);
   const std::uint64_t cap = cache->capacity_blocks();
-  for (std::uint64_t i = 0; i < cap; ++i) cache->write_block(i, block_of(i));
+  for (std::uint64_t i = 0; i < cap; ++i) {
+    cache->write_block(i, block_of(i));
+    cache->cleaner_step();
+  }
   EXPECT_GT(cache->stats().background_cleanings, 0u);
   std::uint64_t dirty = 0;
   for (std::uint64_t i = 0; i < cap; ++i)

@@ -142,12 +142,15 @@ TEST(DirtyAccounting, BackgroundCleaningDrivesTheCounterDown) {
   nvm::NvmDevice dev(kNvmBytes, nvdimm_profile(), clock);
   blockdev::MemBlockDevice disk(kDiskBlocks);
   TincaConfig cfg = small_cfg();
-  cfg.clean_thresh_pct = 25;
+  cfg.cleaner.mode = cleaner::CleanerMode::kStepped;
+  cfg.cleaner.high_water_pct = 25;
   auto cache = TincaCache::format(dev, disk, cfg);
 
   const std::uint64_t limit = cache->capacity_blocks() * 25 / 100;
-  for (std::uint64_t b = 0; b < cache->capacity_blocks() - 2; ++b)
+  for (std::uint64_t b = 0; b < cache->capacity_blocks() - 2; ++b) {
     cache->write_block(b, block_of(b + 1));
+    cache->cleaner_step();
+  }
 
   EXPECT_LE(cache->dirty_blocks(), limit)
       << "cleaning must hold the dirty count at the threshold";
