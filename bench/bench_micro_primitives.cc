@@ -34,6 +34,20 @@ void BM_CacheEntryCodec(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheEntryCodec);
 
+void BM_Fingerprint4KiB(benchmark::State& state) {
+  // The media checksum every staged block and absorbed log record pays.
+  std::vector<std::byte> block(4096);
+  fill_pattern(block, 1);
+  for (auto _ : state) {
+    // Escaping the buffer each iteration keeps the hash from being hoisted.
+    benchmark::DoNotOptimize(block.data());
+    benchmark::DoNotOptimize(fingerprint(block));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(block.size()));
+}
+BENCHMARK(BM_Fingerprint4KiB);
+
 void BM_NvmPersist4K(benchmark::State& state) {
   sim::SimClock clock;
   nvm::NvmDevice dev(1 << 20, pcm_profile(), clock);

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,12 +75,7 @@ class TincaKv {
 
  private:
   static std::uint64_t bucket_of(const std::string& key) {
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    for (char c : key) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= 0x100000001B3ULL;
-    }
-    return h % kBuckets;
+    return fingerprint(std::as_bytes(std::span(key))) % kBuckets;
   }
 
   static bool erase_in_block(std::vector<std::byte>& bucket,

@@ -173,12 +173,24 @@ void NvLogTier::acquire_segment(DrainSink& sink) {
   const auto pick_free = [this]() -> std::optional<std::uint32_t> {
     // Wear-aware recycling: hand out the least-worn free segment so hot
     // absorb traffic rotates over the media instead of burning one range.
+    // A free segment is neither stored to nor flushed, so its wear is read
+    // off the media once per free period and cached until it is acquired.
     std::optional<std::uint32_t> best;
     std::uint64_t best_wear = 0;
     for (std::uint32_t i = 0; i < num_segments_; ++i) {
-      if (segs_[i].state != SegState::kFree) continue;
-      const std::uint64_t w =
-          nvm_.wear(segment_base(i), cfg_.segment_bytes).total_line_writes;
+      SegmentMeta& seg = segs_[i];
+      if (seg.state != SegState::kFree) continue;
+      if (!seg.free_wear.has_value()) {
+        seg.free_wear =
+            nvm_.wear(segment_base(i), cfg_.segment_bytes).total_line_writes;
+      }
+#ifndef NDEBUG
+      TINCA_ENSURE(
+          *seg.free_wear ==
+              nvm_.wear(segment_base(i), cfg_.segment_bytes).total_line_writes,
+          "cached free-segment wear diverged from the media");
+#endif
+      const std::uint64_t w = *seg.free_wear;
       if (!best.has_value() || w < best_wear) {
         best = i;
         best_wear = w;
@@ -211,6 +223,7 @@ void NvLogTier::acquire_segment(DrainSink& sink) {
 
   SegmentMeta& seg = segs_[*idx];
   seg.state = SegState::kActive;
+  seg.free_wear.reset();
   seg.seq = next_seq_++;
   seg.write_off = kSegHeaderBytes;
   seg.max_lsn = 0;

@@ -299,6 +299,9 @@ class NvLogTier {
     std::uint64_t write_off = 0;  ///< next append offset within the segment
     std::uint64_t max_lsn = 0;    ///< highest record lsn present
     std::uint64_t seal_ns = 0;    ///< virtual time of sealing (drain lag)
+    /// Media wear (total line writes) of a free segment, filled by the first
+    /// least-worn scan of its free period and dropped on acquire.
+    std::optional<std::uint64_t> free_wear;
     std::vector<RecordMeta> records;
   };
 

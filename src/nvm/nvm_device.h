@@ -26,6 +26,13 @@
 // dirty-line count (atomic) and the per-line dirty bits / wear counters,
 // which disjoint views never alias.
 //
+// The semantics above are per line; the bookkeeping is per call.  `store()`
+// sets its lines' dirty bits with one update of the shared dirty count, and
+// `clflush()` writes each contiguous run of dirty lines back with one copy
+// and charges its whole range with one clock advance — integer sums of the
+// same per-line charges, so clocks, counters and wear are exactly those of
+// a line-at-a-time loop.
+//
 // Latency is charged to a SimClock (see common/sim_clock.h); operation counts
 // are accumulated in NvmStats, which the benches report as the paper's
 // "normalized quantity of clflush" metric.
@@ -116,6 +123,7 @@ class NvmDevice {
   [[nodiscard]] std::uint64_t base() const { return base_; }
 
   /// Regular store: visible immediately, durable only after clflush+sfence.
+  /// `src` must be non-empty.
   void store(std::uint64_t off, std::span<const std::byte> src);
 
   /// Load bytes (sees the latest stored values, flushed or not).
@@ -196,7 +204,8 @@ class NvmDevice {
   CrashInjector& injector;
 
  private:
-  void mark_dirty(std::size_t line);
+  /// Set the dirty bits of root lines `[first, last]`.
+  void mark_dirty(std::size_t first, std::size_t last);
 
   NvmDevice* root_;        ///< self for a root device
   std::uint64_t base_;     ///< offset of this view within the root

@@ -2,7 +2,11 @@
 // queue, resources, byte codecs, latency profiles, table printer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
+#include <string_view>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/event_queue.h"
@@ -225,6 +229,54 @@ TEST(Bytes, FillPatternIsDeterministicAndSeedSensitive) {
   fill_pattern(c, 2);
   EXPECT_EQ(fingerprint(a), fingerprint(b));
   EXPECT_NE(fingerprint(a), fingerprint(c));
+}
+
+std::span<const std::byte> as_bytes(std::string_view s) {
+  return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
+}
+
+TEST(Bytes, FingerprintIsXxh64) {
+  // Published XXH64 seed-0 vectors: the empty, 1-byte and 3-byte tails, and
+  // a 39-byte input through the 32-byte stripe path.
+  EXPECT_EQ(fingerprint(as_bytes("")), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(fingerprint(as_bytes("a")), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(fingerprint(as_bytes("abc")), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(fingerprint(as_bytes("Nobody inspects the spammish repetition")),
+            0xFBCEA83C8A378BF1ULL);
+}
+
+TEST(Bytes, FingerprintDetectsTornLinesAndBitFlips) {
+  constexpr std::size_t kBlock = 4096;
+  constexpr std::size_t kLine = 64;
+  std::vector<std::byte> old_block(kBlock), new_block(kBlock);
+  fill_pattern(old_block, 11);
+  fill_pattern(new_block, 12);
+  const std::uint64_t base = fingerprint(new_block);
+  // A torn write: one 64 B line still holds the other version.
+  for (std::size_t line = 0; line < kBlock / kLine; ++line) {
+    std::vector<std::byte> torn = new_block;
+    std::copy_n(old_block.begin() + line * kLine, kLine,
+                torn.begin() + line * kLine);
+    EXPECT_NE(fingerprint(torn), base) << "line " << line;
+  }
+  std::vector<std::byte> flipped = new_block;
+  for (std::size_t bit = 0; bit < kBlock * 8; ++bit) {
+    flipped[bit / 8] ^= std::byte{static_cast<unsigned char>(1u << (bit % 8))};
+    ASSERT_NE(fingerprint(flipped), base) << "bit " << bit;
+    flipped[bit / 8] ^= std::byte{static_cast<unsigned char>(1u << (bit % 8))};
+  }
+}
+
+TEST(Bytes, FingerprintSeparatesEveryLength) {
+  // Lengths 0..100 of one pattern cover the 1-, 4- and 8-byte tails alone
+  // and after one to three 32-byte stripes.
+  std::vector<std::byte> data(100);
+  fill_pattern(data, 5);
+  std::set<std::uint64_t> seen;
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    EXPECT_TRUE(seen.insert(fingerprint(std::span(data).first(len))).second)
+        << "length " << len;
+  }
 }
 
 TEST(Latency, ProfilesMatchPaperDeltas) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/expect.h"
@@ -191,6 +193,17 @@ TEST(NvmDevice, OutOfRangeAccessesThrow) {
   EXPECT_THROW(f.dev.clflush(kDev - 1, 2), ContractViolation);
 }
 
+TEST(NvmDevice, EmptyStoreIsRejected) {
+  Fixture f;
+  // Zero bytes cover no line: an empty store must neither touch the dirty
+  // bits nor charge a line, at an aligned or an unaligned offset.
+  EXPECT_THROW(f.dev.store(0, {}), ContractViolation);
+  EXPECT_THROW(f.dev.store(72, {}), ContractViolation);
+  EXPECT_EQ(f.dev.dirty_lines(), 0u);
+  EXPECT_EQ(f.dev.stats().stores, 0u);
+  EXPECT_EQ(f.clock.now(), 0u);
+}
+
 TEST(NvmDevice, WearCountsMediaWritesOnly) {
   Fixture f;
   f.dev.store(0, bytes({1}));
@@ -300,6 +313,165 @@ TEST(NvmDevice, TornStorePrefixStillFacesLineSurvivalLottery) {
   std::vector<std::byte> got(128);
   f.dev.load(0, got);
   EXPECT_EQ(got, old_data);
+}
+
+// Per-line reference model of NvmDevice accounting: a plain loop over every
+// line an operation covers, charging each on its own.  The device's
+// per-call bookkeeping must agree with it exactly.
+class LineModel {
+ public:
+  explicit LineModel(std::size_t size)
+      : volatile_(size), persistent_(size), dirty_(size / kLine),
+        wear_(size / kLine) {}
+
+  /// The model of one device handle: its base within the root device,
+  /// its clock and its counters.
+  struct Handle {
+    std::uint64_t base;
+    sim::Ns clock;
+    NvmStats stats;
+  };
+
+  void store(Handle& h, std::uint64_t off, std::span<const std::byte> src) {
+    std::memcpy(volatile_.data() + h.base + off, src.data(), src.size());
+    const std::size_t first = (h.base + off) / kLine;
+    const std::size_t last = (h.base + off + src.size() - 1) / kLine;
+    for (std::size_t line = first; line <= last; ++line) {
+      dirty_[line] = true;
+      h.clock += profile_.base_line_ns;
+    }
+    ++h.stats.stores;
+    h.stats.bytes_stored += src.size();
+  }
+
+  void atomic(Handle& h, std::uint64_t off, std::span<const std::byte> src) {
+    std::memcpy(volatile_.data() + h.base + off, src.data(), src.size());
+    dirty_[(h.base + off) / kLine] = true;
+    h.clock += profile_.base_line_ns + (src.size() == 16 ? 20 : 0);
+    ++(src.size() == 16 ? h.stats.atomic16 : h.stats.atomic8);
+    h.stats.bytes_stored += src.size();
+  }
+
+  void clflush(Handle& h, std::uint64_t off, std::size_t len) {
+    const std::size_t first = (h.base + off) / kLine;
+    const std::size_t last = (h.base + off + len - 1) / kLine;
+    for (std::size_t line = first; line <= last; ++line) {
+      ++h.stats.clflush;
+      if (dirty_[line]) {
+        std::memcpy(persistent_.data() + line * kLine,
+                    volatile_.data() + line * kLine, kLine);
+        dirty_[line] = false;
+        ++wear_[line];
+        h.clock += profile_.line_flush_cost();
+      } else {
+        h.clock += profile_.clflush_ns;
+      }
+    }
+  }
+
+  void sfence(Handle& h) {
+    ++h.stats.sfence;
+    h.clock += profile_.sfence_ns;
+  }
+
+  [[nodiscard]] std::size_t dirty_lines() const {
+    return static_cast<std::size_t>(
+        std::count(dirty_.begin(), dirty_.end(), true));
+  }
+  [[nodiscard]] std::uint64_t wear(std::size_t line) const {
+    return wear_[line];
+  }
+  [[nodiscard]] const std::vector<std::byte>& media() const {
+    return persistent_;
+  }
+
+ private:
+  static constexpr std::size_t kLine = NvmDevice::kLineSize;
+  NvmProfile profile_ = pcm_profile();
+  std::vector<std::byte> volatile_;
+  std::vector<std::byte> persistent_;
+  std::vector<bool> dirty_;
+  std::vector<std::uint64_t> wear_;
+};
+
+TEST(NvmDevice, RunBatchedAccountingMatchesPerLineModel) {
+  constexpr std::size_t kLine = NvmDevice::kLineSize;
+  constexpr std::size_t kSize = 16 * 1024;
+  constexpr std::uint64_t kViewBytes = 4096;
+  sim::SimClock root_clock, a_clock, b_clock;
+  NvmDevice root(kSize, pcm_profile(), root_clock);
+  NvmDevice view_a(root, 4096, kViewBytes, a_clock);
+  NvmDevice view_b(root, 8192 + 2 * kLine, kViewBytes, b_clock);
+
+  LineModel model(kSize);
+  std::array<LineModel::Handle, 3> mh{
+      LineModel::Handle{0, 0, {}}, LineModel::Handle{4096, 0, {}},
+      LineModel::Handle{8192 + 2 * kLine, 0, {}}};
+  std::array<NvmDevice*, 3> dev{&root, &view_a, &view_b};
+  std::array<sim::SimClock*, 3> clk{&root_clock, &a_clock, &b_clock};
+
+  const auto check = [&](std::size_t h, int step) {
+    ASSERT_EQ(clk[h]->now(), mh[h].clock) << "handle " << h << " step " << step;
+    const NvmStats& got = dev[h]->stats();
+    ASSERT_EQ(got.clflush, mh[h].stats.clflush) << "step " << step;
+    ASSERT_EQ(got.stores, mh[h].stats.stores) << "step " << step;
+    ASSERT_EQ(got.bytes_stored, mh[h].stats.bytes_stored) << "step " << step;
+    ASSERT_EQ(got.sfence, mh[h].stats.sfence) << "step " << step;
+    ASSERT_EQ(got.atomic8, mh[h].stats.atomic8) << "step " << step;
+    ASSERT_EQ(got.atomic16, mh[h].stats.atomic16) << "step " << step;
+    ASSERT_EQ(root.dirty_lines(), model.dirty_lines()) << "step " << step;
+  };
+
+  Rng rng(2024);
+  std::vector<std::byte> buf(3 * kLine + 40);
+  for (int step = 0; step < 4000; ++step) {
+    const std::size_t h = rng.below(3);
+    NvmDevice& d = *dev[h];
+    LineModel::Handle& m = mh[h];
+    const std::uint64_t kind = rng.below(10);
+    if (kind < 4) {
+      // Unaligned, often multi-line; the small span keeps stores
+      // overlapping one another and the flushed ranges.
+      const std::size_t len = 1 + rng.below(buf.size());
+      const std::uint64_t off = rng.below(d.size() - len + 1);
+      fill_pattern(std::span(buf).first(len), rng.next());
+      d.store(off, std::span<const std::byte>(buf).first(len));
+      model.store(m, off, std::span<const std::byte>(buf).first(len));
+    } else if (kind < 8) {
+      // Clean, dirty and partly dirty ranges, unaligned ends included.
+      const std::size_t len = 1 + rng.below(6 * kLine);
+      const std::uint64_t off = rng.below(d.size() - len + 1);
+      d.clflush(off, len);
+      model.clflush(m, off, len);
+    } else if (kind == 8) {
+      const std::uint64_t off = 8 * rng.below(d.size() / 8);
+      const std::uint64_t v = rng.next();
+      std::array<std::byte, 8> raw{};
+      std::memcpy(raw.data(), &v, 8);
+      d.atomic_store8(off, v);
+      model.atomic(m, off, raw);
+    } else {
+      const std::uint64_t off = 16 * rng.below(d.size() / 16);
+      std::array<std::byte, 16> raw{};
+      fill_pattern(raw, rng.next());
+      d.atomic_store16(off, raw);
+      model.atomic(m, off, raw);
+      d.sfence();
+      model.sfence(m);
+    }
+    check(h, step);
+  }
+
+  for (std::size_t line = 0; line < kSize / kLine; ++line) {
+    ASSERT_EQ(root.wear(line * kLine, kLine).total_line_writes,
+              model.wear(line))
+        << "line " << line;
+  }
+  EXPECT_GT(root.dirty_lines(), 0u) << "the mix must leave lines unflushed";
+  root.crash_discard_all();
+  std::vector<std::byte> media(kSize);
+  root.load_nocharge(0, media);
+  EXPECT_EQ(media, model.media());
 }
 
 }  // namespace
