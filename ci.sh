@@ -105,6 +105,16 @@ cmake --build "$BENCH_DIR" -j "$(nproc)" \
 "$BENCH_DIR/bench/bench_fs_fuzz_sweep" --schedules 500 --seed 1 \
   --json "$JSON_OUT/fs_fuzz.json" > /dev/null
 
+# Pinned fuzz verdicts: both sweeps are deterministic (virtual time, seeded
+# faults and crashes), so their JSON must equal the committed golden files
+# byte for byte — every verdict and counter of every campaign.  A change
+# that moves them must re-record both files (the two runs above with
+# --json BENCH_fault_sweep.json / BENCH_fs_fuzz_sweep.json) and say in
+# CHANGES.md why the numbers moved.
+cmp "$JSON_OUT/fault_sweep.json" BENCH_fault_sweep.json
+cmp "$JSON_OUT/fs_fuzz.json" BENCH_fs_fuzz_sweep.json
+echo "fuzz verdicts: OK (both sweeps equal their pinned golden files)"
+
 # Background-cleaner smoke (DESIGN.md §11): off-vs-on commit latency.  The
 # binary exits nonzero unless cleaner-on commit p95 beats cleaner-off, so
 # this line gates "the cleaner actually moves write-backs off the commit

@@ -315,7 +315,6 @@ blockdev::IoStatus FlashCache::read_block(std::uint64_t disk_blkno,
   }
   ++stats_.read_misses;
   if (disk_read(disk_blkno, dst) != blockdev::IoStatus::kOk) return op_st_;
-  if (!cfg_.cache_reads) return op_st_;
   const std::uint32_t set = set_of(disk_blkno);
   const std::uint32_t slot = provision_slot(set, disk_blkno);
   persist_data(slot, dst);

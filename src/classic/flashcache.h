@@ -48,8 +48,6 @@ struct FlashCacheConfig {
   /// Issue clflush/sfence when persisting (off = the Fig 3(b) "without
   /// clflush" ablation; data still reaches NVM but unordered/undurable).
   bool use_flush = true;
-  /// Cache read misses (Flashcache does).
-  bool cache_reads = true;
   /// Block numbers below this boundary are counted in the data_* hit/miss
   /// statistics (the stack above sets it to the journal base so workload
   /// data and journal traffic can be told apart).  Default: everything.

@@ -32,10 +32,11 @@
 // the injector through every NVM-store point and every torn disk-write site
 // inside the script's final mutation batch + compound commit.
 //
-// Campaign plumbing (options base, per-kind stack construction, reproduce
-// tags) comes from src/backend/fuzz_common.h; every violation message embeds
-// the failing schedule's seed and fault schedule verbatim plus a
-// "reproduce:" tag that replays it alone.
+// Only the workload, the reference model and the fs-level oracle live here;
+// options, stack construction, crash arming, recovery, media checks, the
+// recording shim, the snapshot-pin oracle, the block-image check and
+// reproduce tags come from the campaign frame in src/backend/fuzz_common.h,
+// shared with the block-level harness.
 #pragma once
 
 #include <algorithm>
@@ -43,7 +44,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -51,13 +51,13 @@
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "fs/minifs.h"
-#include "tinca/verify.h"
 
 namespace tinca::fs {
 
-/// Deliberate harness sabotage for oracle self-tests ("does the fs-level
-/// oracle actually catch corruption the block image check cannot?").
-/// kNone in every real campaign.
+/// Deliberate corruption for the fs-level oracle's self-tests ("does it
+/// catch corruption the block image check cannot?").  kNone in every real
+/// campaign.  Stack-level sabotage (cleaner, commit record) is set through
+/// CampaignOptions::sabotage like in the block harness.
 enum class FsSabotage : std::uint8_t {
   kNone = 0,
   /// After the final fsync, overwrite one committed *data* block behind
@@ -67,88 +67,38 @@ enum class FsSabotage : std::uint8_t {
   /// Same, but flip bits in the block allocation bitmap.  Only fsck()'s
   /// bitmap cross-check can catch it.
   kCorruptBitmap,
-  /// Arm the *stack-level* cleaner sabotage (FuzzSabotage::kCleanerSkipsFlush):
-  /// the cleaner marks blocks clean without their disk flush, so stale disk
-  /// data surfaces after remount and the image check must flag it.  Requires
-  /// a cleaner mode other than kDisabled.
-  kCleanerSkipsFlush,
-  /// Arm the stack-level cross-stream commit-record sabotage
-  /// (FuzzSabotage::kSkipCommitRecordFlush): the sharded stack stages its
-  /// §15 commit record without the clflush that makes it the atomic commit
-  /// point, so a crash rolls back acked cross-shard transactions and the
-  /// image check must flag the missing state.  Sharded stacks only.
-  kSkipCommitRecordFlush,
 };
 
-/// Parameters of one fs-level fuzz campaign (one stack kind, many schedules).
-struct FsFuzzOptions {
-  backend::StackKind kind = backend::StackKind::kTinca;
-  std::uint64_t seed = 1;
-  std::uint32_t schedules = 100;
-  /// First schedule index (schedule seeds depend only on the campaign seed
-  /// and the absolute index, so seed + first_schedule + schedules=1 replays
-  /// one schedule of a larger campaign — same contract as FuzzOptions).
-  std::uint32_t first_schedule = 0;
+/// Parameters of one fs-level campaign: the shared campaign options plus the
+/// MiniFs workload's shape.
+struct FsFuzzOptions : backend::CampaignOptions {
+  FsFuzzOptions() {
+    schedules = 100;
+    // One fs op issues dozens of block ops, so the per-block-op fault rates
+    // sit below the block harness's.
+    transient_read_rate = 0.005;
+    transient_write_rate = 0.01;
+    bad_sector_rate = 0.0005;
+    torn_write_rate = 0.0005;
+  }
   /// File-system operations attempted per schedule.
   std::uint32_t ops_per_schedule = 36;
-  /// Probability a schedule arms a deterministic crash.
-  double crash_prob = 0.6;
-  /// Disk fault rates (per block operation).  Lower than the block-level
-  /// harness defaults: one fs op can issue dozens of block ops.
-  double transient_read_rate = 0.005;
-  double transient_write_rate = 0.01;
-  double bad_sector_rate = 0.0005;
-  double torn_write_rate = 0.0005;
-  /// 0 = per-kind default from fuzz_common.h.
-  std::uint64_t nvm_bytes = 0;
-  std::uint64_t disk_blocks = 1ull << 12;
-  std::uint64_t ring_bytes = 64 * 1024;
-  std::uint64_t journal_blocks = 512;
-  std::uint32_t shards = 2;
-  /// Per-shard commit streams (DESIGN.md §15); 1 keeps the single-ring
-  /// layout.
-  std::uint32_t streams = 1;
-  blockdev::RetryPolicy retry{};
   /// MiniFs knobs: small inode table (fast mkfs) and a short group-commit
   /// window (many small compound txns → many commit boundaries to cut).
   std::uint64_t inode_count = 512;
   std::uint64_t group_commit_ops = 6;
-  /// Background cleaner mode for the stack under test (kStepped drains one
-  /// cleaner quantum after every completed commit, deterministically).
-  cleaner::CleanerMode cleaner = cleaner::CleanerMode::kDisabled;
-  /// Cleaner watermarks (self-tests drop them so the cleaner provably does
-  /// work on every schedule; campaigns keep the production defaults).
-  std::uint32_t cleaner_low_water_pct = cleaner::CleanerConfig{}.low_water_pct;
-  std::uint32_t cleaner_high_water_pct =
-      cleaner::CleanerConfig{}.high_water_pct;
-  /// Group commit (DESIGN.md §14): arm the sharded stack's per-shard commit
-  /// batcher, so every single-shard MiniFs commit takes the leader/batch
-  /// path and the crash sweep cuts inside its pipeline stages.  No-op on
-  /// stacks without a batcher (MiniFs drives one transaction at a time).
-  bool group_commit = false;
   /// Oracle self-test hook; leave kNone outside harness self-tests.
-  FsSabotage sabotage = FsSabotage::kNone;
+  FsSabotage fs_sabotage = FsSabotage::kNone;
 };
 
 /// Campaign outcome.  `violations` and `fsck_dirty` are the failure signals
 /// (must both be 0); everything else is telemetry.
-struct FsFuzzReport {
-  std::uint64_t schedules = 0;
-  std::uint64_t crashes = 0;         ///< schedules ended by CrashException
-  std::uint64_t mkfs_crashes = 0;    ///< of those, crashes during mkfs itself
-  std::uint64_t clean_remounts = 0;  ///< crash-free recover+mount round trips
-  std::uint64_t io_errors = 0;       ///< unrecoverable-read IoError throws
-  std::uint64_t wedges = 0;          ///< documented capacity wedges hit
+struct FsFuzzReport : backend::FuzzReport {
+  std::uint64_t mkfs_crashes = 0;    ///< crashes during mkfs itself
   std::uint64_t fsck_runs = 0;
   std::uint64_t fsck_dirty = 0;      ///< fsck reports with problems (must be 0)
-  std::uint64_t violations = 0;      ///< model/image violations (must be 0)
-  std::vector<std::string> violation_messages;  ///< first few, with seeds
   std::uint64_t ops_executed = 0;
   std::uint64_t txns_committed = 0;
-  std::uint64_t io_retries = 0;
-  std::uint64_t io_quarantined = 0;
-  std::uint64_t io_degraded_writes = 0;
-  blockdev::FaultStats faults;       ///< summed over all schedules
   /// Sweep mode only: how many injector steps each sweep covered.
   std::uint64_t sweep_points = 0;
   std::uint64_t sweep_torn_points = 0;
@@ -157,129 +107,6 @@ struct FsFuzzReport {
 namespace detail {
 
 using backend::detail::fuzz_mix;
-
-/// Per-kind NVM size for the fs harness.  Bigger than the block harness's
-/// defaults: MiniFs requires a compound-transaction budget of ≥ 64 blocks
-/// (Tinca's budget is half its data slots, UBJ's a third), yet still small
-/// enough that a busy schedule evicts and writes back under fault pressure.
-inline std::uint64_t fs_nvm_bytes(backend::StackKind kind,
-                                  std::uint64_t override) {
-  if (override != 0) return override;
-  switch (kind) {
-    case backend::StackKind::kClassic:
-    case backend::StackKind::kClassicNoJournal:
-      return 3ull << 19;  // 1.5 MB → one full 256-slot set
-    case backend::StackKind::kShardedTinca:
-      return 2ull << 20;  // two 1 MB shards
-    case backend::StackKind::kNvLogClassic:
-      return (3ull << 19) + (1ull << 19);  // classic cache + 512 KB log
-    case backend::StackKind::kNvLogTinca:
-      return (1ull << 20) + (1ull << 19);  // 1 MB Tinca cache + 512 KB log
-    case backend::StackKind::kNvLogSharded:
-      return (2ull << 20) + (1ull << 19);  // two 1 MB shards + 512 KB log
-    default:
-      return 1ull << 20;  // 1 MB → ~230 Tinca/UBJ blocks, budget ~110
-  }
-}
-
-/// Wraps the backend under test and fingerprints every staged block, so the
-/// harness knows — without trusting the file system — exactly which block
-/// image each commit boundary corresponds to.
-///
-///   committed() : blkno → fingerprint as of the last *completed* commit
-///   pending()   : blocks staged by the currently open (or torn) txn
-///   universe()  : every block ever staged (the image-check read set)
-///   boundaries(): number of completed commits
-class RecordingBackend final : public backend::TxnBackend {
- public:
-  explicit RecordingBackend(backend::TxnBackend& real) : real_(real) {}
-
-  void begin() override {
-    real_.begin();
-    pending_.clear();
-  }
-
-  void stage(std::uint64_t blkno, std::span<const std::byte> data) override {
-    real_.stage(blkno, data);
-    pending_[blkno] = fingerprint(data);
-    universe_.insert(blkno);
-  }
-
-  void commit() override {
-    real_.commit();
-    for (const auto& [blkno, fp] : pending_) committed_[blkno] = fp;
-    pending_.clear();
-    ++boundaries_;
-    // Cleaner-armed campaigns drain between commits; a crash inside the
-    // drain lands with nothing pending, so the acceptable image is exactly
-    // the committed history (re-clean on recovery, lose nothing).
-    real_.cleaner_step();
-  }
-
-  void abort() override {
-    real_.abort();
-    pending_.clear();
-  }
-
-  void read_block(std::uint64_t blkno, std::span<std::byte> dst) override {
-    real_.read_block(blkno, dst);
-  }
-
-  void flush() override { real_.flush(); }
-
-  [[nodiscard]] std::uint64_t data_block_limit() const override {
-    return real_.data_block_limit();
-  }
-
-  [[nodiscard]] std::uint64_t max_txn_blocks() const override {
-    return real_.max_txn_blocks();
-  }
-
-  [[nodiscard]] std::string name() const override { return real_.name(); }
-
-  [[nodiscard]] bool supports_snapshots() const override {
-    return real_.supports_snapshots();
-  }
-  std::uint64_t snapshot_open() override { return real_.snapshot_open(); }
-  void snapshot_read(std::uint64_t token, std::uint64_t blkno,
-                     std::span<std::byte> dst) override {
-    real_.snapshot_read(token, blkno, dst);
-  }
-  void snapshot_close(std::uint64_t token) override {
-    real_.snapshot_close(token);
-  }
-
-  [[nodiscard]] const std::map<std::uint64_t, std::uint64_t>& committed()
-      const {
-    return committed_;
-  }
-  [[nodiscard]] const std::map<std::uint64_t, std::uint64_t>& pending() const {
-    return pending_;
-  }
-  [[nodiscard]] const std::set<std::uint64_t>& universe() const {
-    return universe_;
-  }
-  [[nodiscard]] std::uint64_t boundaries() const { return boundaries_; }
-
-  /// Sabotage hook: overwrite `blkno` on the real backend *and* in the
-  /// committed bookkeeping, so the block-image check stays green and only
-  /// the fs-level oracle can notice.
-  void sabotage_block(std::uint64_t blkno, std::span<const std::byte> data) {
-    real_.begin();
-    real_.stage(blkno, data);
-    real_.commit();
-    committed_[blkno] = fingerprint(data);
-    universe_.insert(blkno);
-    ++boundaries_;
-  }
-
- private:
-  backend::TxnBackend& real_;
-  std::map<std::uint64_t, std::uint64_t> committed_;
-  std::map<std::uint64_t, std::uint64_t> pending_;
-  std::set<std::uint64_t> universe_;
-  std::uint64_t boundaries_ = 0;
-};
 
 // --- Reference model --------------------------------------------------------
 
@@ -594,56 +421,6 @@ inline bool tree_matches(MiniFs& f, const ModelNode& n, const std::string& path,
   return true;
 }
 
-/// Compare the recovered block image against one candidate blkno→fingerprint
-/// map; blocks in the universe but absent from the candidate must be zero.
-inline bool image_matches(backend::TxnBackend& be,
-                          const std::set<std::uint64_t>& universe,
-                          const std::map<std::uint64_t, std::uint64_t>& cand,
-                          std::uint64_t zero_fp, std::string* why) {
-  std::vector<std::byte> got(blockdev::kBlockSize);
-  for (const std::uint64_t blkno : universe) {
-    be.read_block(blkno, got);
-    const auto it = cand.find(blkno);
-    const std::uint64_t want = it == cand.end() ? zero_fp : it->second;
-    if (fingerprint(got) != want) {
-      *why = "block " + std::to_string(blkno) + " mismatch";
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Translate FsFuzzOptions into the shared FuzzOptions base so stack
-/// construction and schedule tags come from fuzz_common.h unchanged.
-inline backend::FuzzOptions fs_stack_opts(const FsFuzzOptions& o) {
-  backend::FuzzOptions s;
-  s.kind = o.kind;
-  s.seed = o.seed;
-  s.transient_read_rate = o.transient_read_rate;
-  s.transient_write_rate = o.transient_write_rate;
-  s.bad_sector_rate = o.bad_sector_rate;
-  s.torn_write_rate = o.torn_write_rate;
-  s.nvm_bytes = o.nvm_bytes;
-  s.disk_blocks = o.disk_blocks;
-  s.ring_bytes = o.ring_bytes;
-  s.journal_blocks = o.journal_blocks;
-  s.shards = o.shards;
-  s.streams = o.streams;
-  s.retry = o.retry;
-  s.cleaner = o.cleaner;
-  s.cleaner_low_water_pct = o.cleaner_low_water_pct;
-  s.cleaner_high_water_pct = o.cleaner_high_water_pct;
-  s.group_commit = o.group_commit;
-  if (o.sabotage == FsSabotage::kCleanerSkipsFlush)
-    s.sabotage = backend::FuzzSabotage::kCleanerSkipsFlush;
-  if (o.sabotage == FsSabotage::kSkipCommitRecordFlush)
-    s.sabotage = backend::FuzzSabotage::kSkipCommitRecordFlush;
-  return s;
-}
-
-/// How one schedule's workload ended.
-enum class ScheduleEnd : std::uint8_t { kClean, kCrashed, kIoError, kWedged };
-
 /// Run one schedule end to end, folding results into `rep`.
 ///
 ///  * `script == nullptr` → generate ops from the schedule seed;
@@ -669,66 +446,30 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
                                        int arm_kind, std::uint64_t arm_step,
                                        std::size_t mark_at_op,
                                        bool zero_faults, FsFuzzReport& rep) {
-  ++rep.schedules;
-  Rng rng(sseed);
-  std::string armed = "none";
-  const backend::FuzzOptions stack_opts = fs_stack_opts(opts);
-
-  const auto record_violation = [&](const std::string& what) {
-    ++rep.violations;
-    if (rep.violation_messages.size() < 16) {
-      rep.violation_messages.push_back(
-          backend::fuzz_schedule_tag(stack_opts, sched, sseed, armed) + ": " +
-          what + " | " + backend::fuzz_reproduce_tag(opts.seed, sched));
-    }
-  };
-
-  std::vector<std::byte> zero_blk(blockdev::kBlockSize, std::byte{0});
-  const std::uint64_t zero_fp = fingerprint(zero_blk);
-
-  sim::SimClock clock;
-  nvm::NvmDevice nvm(fs_nvm_bytes(opts.kind, opts.nvm_bytes),
-                     nvdimm_profile(), clock);
-  blockdev::MemBlockDevice mem(opts.disk_blocks);
-  blockdev::FaultConfig fcfg;
-  fcfg.seed = fuzz_mix(sseed, 0xFB02);
-  if (!zero_faults) {
-    fcfg.transient_read_rate = opts.transient_read_rate;
-    fcfg.transient_write_rate = opts.transient_write_rate;
-    fcfg.bad_sector_rate = opts.bad_sector_rate;
-    fcfg.torn_write_rate = opts.torn_write_rate;
-  }
-  blockdev::FaultyBlockDevice disk(mem, fcfg, &clock, &nvm.injector);
-
-  std::unique_ptr<backend::TxnBackend> be =
-      backend::detail::fuzz_build(stack_opts, nvm, disk, false);
-  RecordingBackend shim(*be);
+  using backend::ScheduleEnd;
+  // 1 MB per Tinca cache or shard: MiniFs needs a compound-transaction budget
+  // of ≥ 64 blocks (Tinca's is half its data slots, UBJ's a third), yet a
+  // busy schedule still evicts and writes back under fault pressure.
+  const backend::FuzzHarness harness{1ull << 20, 0xFB02, 600, 60};
+  backend::FuzzSchedule s(opts, harness, sched, sseed, rep, !zero_faults);
+  Rng& rng = s.rng;
+  backend::RecordingBackend shim(*s.be);
 
   MiniFsConfig fscfg;
   fscfg.inode_count = opts.inode_count;
   fscfg.group_commit_ops = opts.group_commit_ops;
 
   const auto set_arm = [&] {
-    if (arm_kind == 1 && rng.chance(opts.crash_prob)) {
-      if (rng.chance(0.5)) {
-        const std::uint64_t step = 1 + rng.below(600);
-        nvm.injector.arm(step);
-        armed = "point@" + std::to_string(step);
-      } else {
-        const std::uint64_t step = 1 + rng.below(60);
-        nvm.injector.arm_torn(step);
-        armed = "torn@" + std::to_string(step);
-      }
+    if (arm_kind == 1) {
+      s.arm_random();
     } else if (arm_kind == 2) {
-      nvm.injector.arm(arm_step);
-      armed = "point@" + std::to_string(arm_step);
+      s.arm_point(arm_step);
     } else if (arm_kind == 3) {
-      nvm.injector.arm_torn(arm_step);
-      armed = "torn@" + std::to_string(arm_step);
-    } else if (arm_kind == 0) {
+      s.arm_torn(arm_step);
+    } else {
       // Learning pass: reset both counters so steps are measured from here.
-      nvm.injector.disarm();
-      nvm.injector.disarm_torn();
+      s.nvm.injector.disarm();
+      s.nvm.injector.disarm_torn();
     }
   };
 
@@ -737,18 +478,9 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
   if (mark_at_op == 0) set_arm();
 
   std::unique_ptr<MiniFs> fsys;
-  bool mkfs_done = false;
-  ScheduleEnd end = ScheduleEnd::kClean;
-  try {
-    fsys = MiniFs::mkfs(shim, fscfg);
-    mkfs_done = true;
-  } catch (const nvm::CrashException&) {
-    end = ScheduleEnd::kCrashed;
-  } catch (const blockdev::IoError&) {
-    end = ScheduleEnd::kIoError;
-  } catch (const ContractViolation& e) {
-    record_violation(std::string("mkfs failed: ") + e.what());
-  }
+  ScheduleEnd end = s.run([&] { fsys = MiniFs::mkfs(shim, fscfg); },
+                          [] { return std::string("mkfs failed: "); });
+  const bool mkfs_done = fsys != nullptr;
 
   ModelNode live;
   live.dir = true;
@@ -758,150 +490,83 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
   ctx.sseed = sseed;
   FsOp last_op;  // the op interrupted by a crash (if any)
   bool op_in_flight = false;
-
   // Snapshot oracle (DESIGN.md §12): pin one fsync boundary mid-workload
-  // and hold it across later compound commits; every pinned block read must
-  // keep returning that boundary's image even while the tree churns on.
-  bool snap_open = false;
-  std::uint64_t snap_token = 0;
-  std::uint64_t snap_close_boundary = 0;
-  std::map<std::uint64_t, std::uint64_t> snap_frozen;
-  std::vector<std::byte> snap_buf(blockdev::kBlockSize);
+  // and hold it across later compound commits.
+  backend::SnapshotPin pin;
+  std::uint64_t pin_close_boundary = 0;
 
   // --- workload -------------------------------------------------------------
-  if (mkfs_done) {
+  const auto workload = [&] {
     const std::size_t total_ops =
         script ? script->size() : opts.ops_per_schedule;
-    try {
-      for (std::size_t i = 0; i < total_ops; ++i) {
-        if (i == mark_at_op && mark_at_op != 0) set_arm();
-        FsOp op = script ? (*script)[i] : gen_op(rng, live, ctx);
-        last_op = op;
-        op_in_flight = true;
-        if (op.kind == FsOp::kRead) {
-          std::vector<std::byte> got(op.size);
-          const std::size_t nread = fsys->read(op.a, op.offset, got);
-          const ModelNode* n = model_find(live, op.a);
-          const std::uint64_t msize = n->data.size();
-          const std::size_t expect =
-              op.offset >= msize
-                  ? 0
-                  : static_cast<std::size_t>(
-                        std::min<std::uint64_t>(op.size, msize - op.offset));
-          if (nread != expect ||
-              (expect != 0 &&
-               std::memcmp(got.data(), n->data.data() + op.offset, expect) !=
-                   0)) {
-            record_violation("live read of " + op.a +
-                             " disagrees with the model");
-            break;
-          }
-        } else {
-          fs_apply(*fsys, op);
-          model_apply(live, op);
+    for (std::size_t i = 0; i < total_ops; ++i) {
+      if (i == mark_at_op && mark_at_op != 0) set_arm();
+      FsOp op = script ? (*script)[i] : gen_op(rng, live, ctx);
+      last_op = op;
+      op_in_flight = true;
+      if (op.kind == FsOp::kRead) {
+        std::vector<std::byte> got(op.size);
+        const std::size_t nread = fsys->read(op.a, op.offset, got);
+        const ModelNode* n = model_find(live, op.a);
+        const std::uint64_t msize = n->data.size();
+        const std::size_t expect =
+            op.offset >= msize
+                ? 0
+                : static_cast<std::size_t>(
+                      std::min<std::uint64_t>(op.size, msize - op.offset));
+        if (nread != expect ||
+            (expect != 0 &&
+             std::memcmp(got.data(), n->data.data() + op.offset, expect) !=
+                 0)) {
+          s.violation("live read of " + op.a + " disagrees with the model");
+          break;
         }
-        op_in_flight = false;
-        ++rep.ops_executed;
-        if (shim.boundaries() != last_boundary) {
-          last_boundary = shim.boundaries();
-          committed_model = live;  // new fsync boundary reached
-        }
-        // Snapshot oracle — fuzz mode only: the sweep's step numbering must
-        // stay identical across its learning and replay passes, and pinned
-        // snapshots shift when deferred writebacks reach the disk.
-        if (!script && shim.supports_snapshots()) {
-          if (!snap_open && shim.boundaries() != 0 && rng.chance(0.15)) {
-            snap_token = shim.snapshot_open();
-            snap_frozen = shim.committed();
-            snap_open = true;
-            snap_close_boundary = shim.boundaries() + 2;
-          } else if (snap_open) {
-            bool snap_bad = false;
-            for (int probe = 0; probe < 2 && !shim.universe().empty();
-                 ++probe) {
-              auto it = shim.universe().begin();
-              std::advance(it,
-                           static_cast<long>(rng.below(shim.universe().size())));
-              shim.snapshot_read(snap_token, *it, snap_buf);
-              const auto want = snap_frozen.find(*it);
-              const std::uint64_t want_fp =
-                  want == snap_frozen.end() ? zero_fp : want->second;
-              if (fingerprint(snap_buf) != want_fp) {
-                record_violation(
-                    "snapshot read of block " + std::to_string(*it) +
-                    " is not the pinned fsync-boundary image");
-                snap_bad = true;
-                break;
-              }
-            }
-            if (snap_bad) break;
-            if (shim.boundaries() >= snap_close_boundary) {
-              shim.snapshot_close(snap_token);
-              snap_open = false;
-            }
-          }
-        }
+      } else {
+        fs_apply(*fsys, op);
+        model_apply(live, op);
       }
-      if (end == ScheduleEnd::kClean && !script) {
-        // Close the history at a boundary so the clean path verifies a
-        // well-defined state (sweep scripts end with their own fsync).
-        fsys->fsync();
-      }
+      op_in_flight = false;
+      ++rep.ops_executed;
       if (shim.boundaries() != last_boundary) {
         last_boundary = shim.boundaries();
-        committed_model = live;
+        committed_model = live;  // new fsync boundary reached
       }
-    } catch (const nvm::CrashException&) {
-      end = ScheduleEnd::kCrashed;
-    } catch (const blockdev::IoError&) {
-      end = ScheduleEnd::kIoError;
-    } catch (const ContractViolation& e) {
-      if (std::string(e.what()).find("wedged") != std::string::npos) {
-        end = ScheduleEnd::kWedged;
-      } else {
-        record_violation(std::string(fs_op_name(last_op.kind)) +
-                         " failed: " + e.what());
+      // Snapshot oracle — fuzz mode only: the sweep's step numbering must
+      // stay identical across its learning and replay passes, and pinned
+      // snapshots shift when deferred writebacks reach the disk.
+      if (!script && shim.supports_snapshots()) {
+        if (!pin.open && shim.boundaries() != 0 && rng.chance(0.15)) {
+          pin.pin(shim);
+          pin_close_boundary = shim.boundaries() + 2;
+        } else if (pin.open) {
+          if (!pin.probe(s, shim, 2)) break;
+          if (shim.boundaries() >= pin_close_boundary) pin.close(shim);
+        }
       }
     }
-  }
-
-  ScheduleOutcome out;
-  out.marked_points = nvm.injector.steps_seen();
-  out.marked_torn = nvm.injector.torn_steps_seen();
-
-  // Release any open snapshot before verification: pins defer disk
-  // writebacks, and fsck plus the image check should run unthrottled.
-  if (snap_open) {
-    try {
-      shim.snapshot_close(snap_token);
-    } catch (const std::exception&) {
+    // Close the history at a boundary so the clean path verifies a
+    // well-defined state (sweep scripts end with their own fsync).
+    if (!script) fsys->fsync();
+    if (shim.boundaries() != last_boundary) {
+      last_boundary = shim.boundaries();
+      committed_model = live;
     }
-    snap_open = false;
+  };
+  if (mkfs_done) {
+    end = s.run(workload, [&] {
+      return std::string(fs_op_name(last_op.kind)) + " failed: ";
+    });
   }
 
-  // Stop injecting *new* faults; already-bad sectors keep failing.
-  nvm.injector.disarm();
-  nvm.injector.disarm_torn();
-  disk.quiesce();
-  {
-    backend::FuzzReport io;
-    backend::detail::fuzz_collect(stack_opts, *be, io);
-    rep.io_retries += io.io_retries;
-    rep.io_quarantined += io.io_quarantined;
-    rep.io_degraded_writes += io.io_degraded_writes;
-  }
+  const ScheduleOutcome out{s.nvm.injector.steps_seen(),
+                            s.nvm.injector.torn_steps_seen()};
+  pin.release(shim);
+  s.quiesce();
   rep.txns_committed += shim.boundaries();
 
-  if (end == ScheduleEnd::kWedged) {
-    ++rep.wedges;
-    backend::detail::fuzz_fold_faults(rep.faults, disk.fault_stats());
-    return out;
-  }
-  if (rep.violations != 0 && rep.violation_messages.size() >= 16) {
-    // Campaign is already drowning; skip the expensive verification.
-    backend::detail::fuzz_fold_faults(rep.faults, disk.fault_stats());
-    return out;
-  }
+  if (end == ScheduleEnd::kWedged) return out;
+  // Campaign already drowning: skip the expensive verification.
+  if (rep.violations != 0 && rep.violation_messages.size() >= 16) return out;
 
   // --- crash / recovery -----------------------------------------------------
   // The interrupted op (if any) defines the "committed + 1" candidate: if
@@ -909,56 +574,24 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
   // tree is the model *with* that op applied.
   const bool interrupted =
       end == ScheduleEnd::kCrashed || end == ScheduleEnd::kIoError;
-  if (end == ScheduleEnd::kCrashed) {
-    ++rep.crashes;
-    if (!mkfs_done) ++rep.mkfs_crashes;
-    static constexpr double kSurvive[] = {0.0, 0.3, 0.7, 1.0};
-    nvm.crash(rng, kSurvive[rng.below(4)]);
-  }
-  if (end == ScheduleEnd::kIoError) ++rep.io_errors;
-
-  bool remounted = false;
   if (interrupted) {
     fsys.reset();
-    be.reset();
-    try {
-      be = backend::detail::fuzz_build(stack_opts, nvm, disk, true);
-    } catch (const std::exception& e) {
-      record_violation(std::string("recovery failed: ") + e.what());
-      backend::detail::fuzz_fold_faults(rep.faults, disk.fault_stats());
+    if (end == ScheduleEnd::kCrashed) {
+      if (!mkfs_done) ++rep.mkfs_crashes;
+      if (!s.crash_and_recover()) return out;
+    } else if (!s.remount("recovery")) {
       return out;
     }
-    remounted = true;
-    // NvLog stacks: the log tier's metadata — superblock + watermark record
-    // ring (DESIGN.md §16) — must still decode and hold a mountable winning
-    // record after the crash.  A torn record cut is acceptable only because
-    // an older valid record survives in another ring slot.
-    if (end == ScheduleEnd::kCrashed &&
-        (opts.kind == backend::StackKind::kNvLogClassic ||
-         opts.kind == backend::StackKind::kNvLogTinca ||
-         opts.kind == backend::StackKind::kNvLogSharded)) {
-      nvm::NvmDevice logv(nvm, 0, backend::detail::kFuzzLogBytes, clock);
-      const core::MediaReport mr = core::verify_nvlog_media(logv);
-      if (!mr.ok) {
-        record_violation("verify_nvlog_media: " +
-                         (mr.problems.empty() ? std::string("not ok")
-                                              : mr.problems.front()));
-      }
-    }
   }
+  bool remounted = interrupted;
 
   // --- sabotage (oracle self-test, clean schedules only) --------------------
-  // kCleanerSkipsFlush is not handled here: it is a continuous stack-level
-  // sabotage (armed via the cleaner config in fs_stack_opts), not a one-shot
-  // block overwrite.
-  if (!interrupted && mkfs_done &&
-      (opts.sabotage == FsSabotage::kCorruptData ||
-       opts.sabotage == FsSabotage::kCorruptBitmap)) {
+  if (!interrupted && mkfs_done && opts.fs_sabotage != FsSabotage::kNone) {
     try {
       const MiniFs::Geometry& g = fsys->geometry();
       std::vector<std::byte> junk(blockdev::kBlockSize);
       fill_pattern(junk, fuzz_mix(sseed, 0x5AB0));
-      if (opts.sabotage == FsSabotage::kCorruptData) {
+      if (opts.fs_sabotage == FsSabotage::kCorruptData) {
         // Highest committed data block — some file's payload or a directory.
         std::uint64_t victim = 0;
         for (const auto& [blkno, fp] : shim.committed())
@@ -970,47 +603,23 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
       // The corruption lives on media; MiniFs's in-DRAM bitmaps and the
       // backend cache would mask it, so force the remount path below.
       fsys.reset();
-      be.reset();
-      be = backend::detail::fuzz_build(stack_opts, nvm, disk, true);
+      if (!s.remount("sabotage setup")) return out;
       remounted = true;
     } catch (const std::exception& e) {
-      record_violation(std::string("sabotage setup failed: ") + e.what());
-      backend::detail::fuzz_fold_faults(rep.faults, disk.fault_stats());
+      s.violation(std::string("sabotage setup failed: ") + e.what());
       return out;
     }
   }
 
   // --- verification ---------------------------------------------------------
   try {
-    // Candidate block images, most-committed first.  role: 0 = committed
-    // boundary, 1 = committed + interrupted txn (also a boundary).  Both
-    // are fsync boundaries — there are no block-consistent-but-mid-commit
-    // states any more: a cross-shard transaction commits atomically through
-    // the §15 commit record, so shard-prefix images are violations.
-    struct Cand {
-      std::map<std::uint64_t, std::uint64_t> image;
-      int role;
-    };
-    std::vector<Cand> cands;
-    cands.push_back({shim.committed(), 0});
-    if (interrupted && !shim.pending().empty()) {
-      std::map<std::uint64_t, std::uint64_t> full = shim.committed();
-      for (const auto& [blkno, fp] : shim.pending()) full[blkno] = fp;
-      cands.push_back({std::move(full), 1});
-    }
-
-    int matched_role = -1;
+    // Both candidate images are fsync boundaries: 0 = committed, 1 =
+    // committed + the interrupted txn.
     std::string why;
-    for (const Cand& c : cands) {
-      if (image_matches(*be, shim.universe(), c.image, zero_fp, &why)) {
-        matched_role = c.role;
-        break;
-      }
-    }
-    if (matched_role < 0) {
-      record_violation("recovered image matches no acceptable history (" +
-                       why + ")");
-      backend::detail::fuzz_fold_faults(rep.faults, disk.fault_stats());
+    const int matched = backend::match_history(*s.be, shim, interrupted, &why);
+    if (matched < 0) {
+      s.violation("recovered image matches no acceptable history (" + why +
+                  ")");
       return out;
     }
 
@@ -1020,19 +629,18 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
       // root) published.  A failed mount of a half-formatted device is the
       // documented outcome, not a violation.
       try {
-        std::unique_ptr<MiniFs> m = MiniFs::mount(*be, fscfg);
+        std::unique_ptr<MiniFs> m = MiniFs::mount(*s.be, fscfg);
         ++rep.fsck_runs;
         const FsckReport fr = m->fsck();
         if (!fr.ok) {
           ++rep.fsck_dirty;
-          record_violation("fsck dirty after mkfs crash: " + fr.summary());
+          s.violation("fsck dirty after mkfs crash: " + fr.summary());
         } else if (!m->list("/").empty()) {
-          record_violation("mkfs crash recovered to a non-empty root");
+          s.violation("mkfs crash recovered to a non-empty root");
         }
       } catch (const ContractViolation&) {
         // Not a mountable MiniFs volume — acceptable for a torn format.
       }
-      backend::detail::fuzz_fold_faults(rep.faults, disk.fault_stats());
       return out;
     }
 
@@ -1044,10 +652,10 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
     // interrupted op (MiniFs commits are the final mutating action of an
     // op), i.e. exactly the role-1 construction.
     const bool committed_then_crashed =
-        matched_role == 0 && interrupted && shim.boundaries() != last_boundary;
+        matched == 0 && interrupted && shim.boundaries() != last_boundary;
     const ModelNode* want = &committed_model;
     ModelNode committed_plus;
-    if (matched_role == 1 || committed_then_crashed) {
+    if (matched == 1 || committed_then_crashed) {
       // The interrupted txn carries every op since the previous boundary,
       // ending with the in-flight one: that is exactly the live model (plus
       // the interrupted op, which validated against the live model).
@@ -1059,43 +667,36 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
       want = &committed_plus;
     }
 
-    if (interrupted || remounted) {
-      fsys = MiniFs::mount(*be, fscfg);
-    }
+    if (remounted) fsys = MiniFs::mount(*s.be, fscfg);
     ++rep.fsck_runs;
     const FsckReport fr = fsys->fsck();
     if (!fr.ok) {
       ++rep.fsck_dirty;
-      record_violation("fsck dirty: " + fr.summary());
+      s.violation("fsck dirty: " + fr.summary());
     }
     if (!tree_matches(*fsys, *want, "", &why)) {
-      record_violation("recovered tree diverges from the model (" + why + ")");
+      s.violation("recovered tree diverges from the model (" + why + ")");
     }
-    if (!interrupted && !remounted) {
-      // Live instance already verified; also exercise the crash-free
-      // recover+mount round trip half the time.
-      if (rng.chance(0.5)) {
-        ++rep.clean_remounts;
-        fsys.reset();
-        be.reset();
-        be = backend::detail::fuzz_build(stack_opts, nvm, disk, true);
-        fsys = MiniFs::mount(*be, fscfg);
-        ++rep.fsck_runs;
-        const FsckReport fr2 = fsys->fsck();
-        if (!fr2.ok) {
-          ++rep.fsck_dirty;
-          record_violation("fsck dirty after clean remount: " + fr2.summary());
-        }
-        if (!tree_matches(*fsys, *want, "", &why)) {
-          record_violation("clean remount lost data (" + why + ")");
-        }
+    // Live instance verified; also exercise the crash-free recover+mount
+    // round trip half the time.
+    if (!remounted && rng.chance(0.5)) {
+      ++rep.clean_remounts;
+      fsys.reset();
+      if (!s.remount("clean remount")) return out;
+      fsys = MiniFs::mount(*s.be, fscfg);
+      ++rep.fsck_runs;
+      const FsckReport fr2 = fsys->fsck();
+      if (!fr2.ok) {
+        ++rep.fsck_dirty;
+        s.violation("fsck dirty after clean remount: " + fr2.summary());
+      }
+      if (!tree_matches(*fsys, *want, "", &why)) {
+        s.violation("clean remount lost data (" + why + ")");
       }
     }
   } catch (const std::exception& e) {
-    record_violation(std::string("verification threw: ") + e.what());
+    s.violation(std::string("verification threw: ") + e.what());
   }
-
-  backend::detail::fuzz_fold_faults(rep.faults, disk.fault_stats());
   return out;
 }
 

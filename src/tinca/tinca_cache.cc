@@ -1099,10 +1099,10 @@ void TincaCache::read_block(std::uint64_t disk_blkno, std::span<std::byte> dst) 
   const blockdev::IoStatus st = disk_read(disk_blkno, dst);
   if (st != blockdev::IoStatus::kOk)
     throw blockdev::IoError("tinca: unrecoverable disk read", disk_blkno, st);
-  if (!cfg_.cache_reads) return;
 
-  // Clean fill: stored but *not* flushed — recovery drops clean entries, so
-  // durability is not required and the fill costs no clflush.
+  // Read misses populate the cache too (paper §4.6).  Clean fill: stored but
+  // *not* flushed — recovery drops clean entries, so durability is not
+  // required and the fill costs no clflush.
   ensure_free(1, 1);
   const std::uint32_t slot = free_entries_.take();
   const std::uint32_t nb = free_blocks_.take();

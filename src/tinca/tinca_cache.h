@@ -64,9 +64,6 @@ struct TincaConfig {
   /// so commit metadata never contends across streams.  1 = the paper's
   /// single-ring layout.  Max Layout::kMaxStreams.
   std::uint32_t num_streams = 1;
-  /// Whether read misses populate the cache (paper: Tinca caches for both
-  /// write and read requests, §4.6).
-  bool cache_reads = true;
   /// Cache mode: write-back (the paper's default, §5.1) keeps committed
   /// blocks dirty until replacement; write-through additionally writes them
   /// to disk at the end of every commit (durability on *two* devices at the

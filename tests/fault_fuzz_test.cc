@@ -29,6 +29,26 @@ std::string describe(const FuzzReport& rep) {
   return s;
 }
 
+// Self-tests run without disk faults: the sabotaged mechanism is the only
+// anomaly in play.
+void no_disk_faults(FuzzOptions& opts) {
+  opts.transient_read_rate = opts.transient_write_rate = 0.0;
+  opts.bad_sector_rate = opts.torn_write_rate = 0.0;
+}
+
+const char* kind_name(const ::testing::TestParamInfo<StackKind>& pinfo) {
+  switch (pinfo.param) {
+    case StackKind::kTinca: return "Tinca";
+    case StackKind::kClassic: return "Classic";
+    case StackKind::kUbj: return "Ubj";
+    case StackKind::kShardedTinca: return "Sharded";
+    case StackKind::kNvLogClassic: return "NvLog";
+    case StackKind::kNvLogTinca: return "NvLogTinca";
+    case StackKind::kNvLogSharded: return "NvLogSharded";
+    default: return "Other";
+  }
+}
+
 class FaultFuzz : public ::testing::TestWithParam<StackKind> {};
 
 TEST_P(FaultFuzz, RandomizedSchedulesUpholdRecoveryInvariants) {
@@ -74,19 +94,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, FaultFuzz,
                                            StackKind::kNvLogClassic,
                                            StackKind::kNvLogTinca,
                                            StackKind::kNvLogSharded),
-                         [](const auto& pinfo) {
-                           switch (pinfo.param) {
-                             case StackKind::kTinca: return "Tinca";
-                             case StackKind::kClassic: return "Classic";
-                             case StackKind::kUbj: return "Ubj";
-                             case StackKind::kShardedTinca: return "Sharded";
-                             case StackKind::kNvLogClassic: return "NvLog";
-                             case StackKind::kNvLogTinca: return "NvLogTinca";
-                             case StackKind::kNvLogSharded:
-                               return "NvLogSharded";
-                             default: return "Other";
-                           }
-                         });
+                         kind_name);
 
 // The same randomized campaign with the background cleaner armed in
 // deterministic stepped mode: every commit is followed by a cleaner
@@ -119,18 +127,7 @@ INSTANTIATE_TEST_SUITE_P(CleanerBackends, FaultFuzzCleaner,
                                            StackKind::kNvLogClassic,
                                            StackKind::kNvLogTinca,
                                            StackKind::kNvLogSharded),
-                         [](const auto& pinfo) {
-                           switch (pinfo.param) {
-                             case StackKind::kTinca: return "Tinca";
-                             case StackKind::kUbj: return "Ubj";
-                             case StackKind::kShardedTinca: return "Sharded";
-                             case StackKind::kNvLogClassic: return "NvLog";
-                             case StackKind::kNvLogTinca: return "NvLogTinca";
-                             case StackKind::kNvLogSharded:
-                               return "NvLogSharded";
-                             default: return "Other";
-                           }
-                         });
+                         kind_name);
 
 // Oracle self-test for the cleaner: a cleaner that marks blocks clean
 // WITHOUT the pre-writeback disk flush leaks stale disk data into reads
@@ -145,10 +142,7 @@ TEST(FaultFuzzScripted, CleanerSkippingFlushIsCaught) {
   opts.schedules = 12;
   opts.txns_per_schedule = 40;  // deep schedules: drain + evict + remount
   opts.crash_prob = 0.0;
-  opts.transient_read_rate = 0.0;
-  opts.transient_write_rate = 0.0;
-  opts.bad_sector_rate = 0.0;
-  opts.torn_write_rate = 0.0;
+  no_disk_faults(opts);
 
   const FuzzReport rep = run_fault_fuzz(opts);
   EXPECT_GT(rep.violations, 0u)
@@ -168,10 +162,7 @@ TEST(FaultFuzzScripted, NvLogSkippingCommitFlushIsCaught) {
   opts.seed = 616161;
   opts.schedules = 20;
   opts.crash_prob = 0.6;  // the lie only shows when the power goes out
-  opts.transient_read_rate = 0.0;
-  opts.transient_write_rate = 0.0;
-  opts.bad_sector_rate = 0.0;
-  opts.torn_write_rate = 0.0;
+  no_disk_faults(opts);
 
   const FuzzReport rep = run_fault_fuzz(opts);
   EXPECT_GT(rep.violations, 0u)
@@ -192,10 +183,7 @@ TEST(FaultFuzzScripted, NvLogDrainSkippingApplyIsCaught) {
   opts.schedules = 12;
   opts.txns_per_schedule = 40;  // deep schedules: drain + remount
   opts.crash_prob = 0.0;
-  opts.transient_read_rate = 0.0;
-  opts.transient_write_rate = 0.0;
-  opts.bad_sector_rate = 0.0;
-  opts.torn_write_rate = 0.0;
+  no_disk_faults(opts);
 
   const FuzzReport rep = run_fault_fuzz(opts);
   EXPECT_GT(rep.violations, 0u)
@@ -223,10 +211,7 @@ TEST(FaultFuzzScripted, SkippedWatermarkFlushIsCaught) {
   opts.max_blocks_per_txn = 24;   // fat txns wrap the 7-segment log fast
   opts.crash_prob = 0.8;          // the lie only shows when the power goes out
   opts.crash_point_range = 4000;  // ...and only on cuts AFTER the wrap
-  opts.transient_read_rate = 0.0;
-  opts.transient_write_rate = 0.0;
-  opts.bad_sector_rate = 0.0;
-  opts.torn_write_rate = 0.0;
+  no_disk_faults(opts);
 
   const FuzzReport rep = run_fault_fuzz(opts);
   EXPECT_GT(rep.violations, 0u)
@@ -252,6 +237,21 @@ TEST(FaultFuzzScripted, MultiStreamShardedSchedulesUpholdInvariants) {
   EXPECT_EQ(rep.violations, 0u)
       << describe(rep) << "reproduce: TINCA_FUZZ_SEED=" << opts.seed
       << " TINCA_FUZZ_SCHEDULES=" << opts.schedules;
+  EXPECT_GT(rep.crashes, 0u) << describe(rep);
+}
+
+// The plain Tinca stack with per-stream rings: the post-crash media check
+// must lay the device out with the campaign's stream count.
+TEST(FaultFuzzScripted, MultiStreamTincaSchedulesUpholdInvariants) {
+  FuzzOptions opts;
+  opts.kind = StackKind::kTinca;
+  opts.streams = 2;
+  opts.seed = env_u64("TINCA_FUZZ_SEED", 1);
+  opts.schedules =
+      static_cast<std::uint32_t>(env_u64("TINCA_FUZZ_SCHEDULES", 120));
+
+  const FuzzReport rep = run_fault_fuzz(opts);
+  EXPECT_EQ(rep.violations, 0u) << describe(rep);
   EXPECT_GT(rep.crashes, 0u) << describe(rep);
 }
 
@@ -284,10 +284,7 @@ TEST(FaultFuzzScripted, SkippedCommitRecordFlushIsCaught) {
   opts.seed = 717171;
   opts.schedules = 40;
   opts.crash_prob = 0.8;  // the lie only shows when the power goes out
-  opts.transient_read_rate = 0.0;
-  opts.transient_write_rate = 0.0;
-  opts.bad_sector_rate = 0.0;
-  opts.torn_write_rate = 0.0;
+  no_disk_faults(opts);
 
   const FuzzReport rep = run_fault_fuzz(opts);
   EXPECT_GT(rep.violations, 0u)
@@ -326,10 +323,7 @@ TEST(FaultFuzzScripted, ViolationReproducesFromItsPrintedTag) {
   opts.seed = 424242;
   opts.schedules = 8;
   opts.crash_prob = 0.0;  // sabotage targets crash-free schedules
-  opts.transient_read_rate = 0.0;
-  opts.transient_write_rate = 0.0;
-  opts.bad_sector_rate = 0.0;
-  opts.torn_write_rate = 0.0;
+  no_disk_faults(opts);
   opts.sabotage = FuzzSabotage::kCorruptCommitted;
 
   const FuzzReport first = run_fault_fuzz(opts);

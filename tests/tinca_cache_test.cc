@@ -126,21 +126,6 @@ TEST(TincaCache, ReadMissFillsCacheClean) {
   EXPECT_EQ(f.cache->stats().read_hits, 1u);
 }
 
-TEST(TincaCache, ReadCachingCanBeDisabled) {
-  Fixture f;
-  TincaConfig cfg;
-  cfg.ring_bytes = 4096;
-  cfg.cache_reads = false;
-  sim::SimClock clock;
-  nvm::NvmDevice dev(kNvmBytes, pcm_profile(), clock);
-  blockdev::MemBlockDevice disk(1 << 16);
-  auto cache = TincaCache::format(dev, disk, cfg);
-  std::vector<std::byte> buf(kBlockSize);
-  disk.write(5, f.block(1));
-  cache->read_block(5, buf);
-  EXPECT_FALSE(cache->cached(5));
-}
-
 TEST(TincaCache, EvictionWritesDirtyVictimToDisk) {
   Fixture f;
   const std::uint64_t cap = f.cache->capacity_blocks();
