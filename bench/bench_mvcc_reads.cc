@@ -15,7 +15,7 @@
 //   * MVCC readers — read_block()'s lock-free path by design touches no
 //     shared clock (load_nocharge), so each simulated reader charges a
 //     PRIVATE clock with the same modelled cost per read:
-//     cpu_op_ns + 64 lines × line_read_cost.  Readers overlap each other
+//     kCpuOpNs + 64 lines × line_read_cost.  Readers overlap each other
 //     and the writer, so the makespan is the MAXIMUM of the private clocks
 //     and the shard clock's advance (the writer's commits).
 //
@@ -72,10 +72,9 @@ struct RunResult {
 /// The per-read virtual cost a lock-free reader charges its private clock:
 /// the modelled CPU op plus one whole block of NVM line reads — the same
 /// bill read_block_locked pays on the shared clock.
-std::uint64_t modelled_read_ns(const core::TincaConfig& cfg,
-                               const NvmProfile& profile) {
-  return cfg.cpu_op_ns + (core::kBlockSize / nvm::NvmDevice::kLineSize) *
-                             profile.line_read_cost();
+std::uint64_t modelled_read_ns(const NvmProfile& profile) {
+  return kCpuOpNs + (core::kBlockSize / nvm::NvmDevice::kLineSize) *
+                        profile.line_read_cost();
 }
 
 /// `seed_of[blkno]` tracks the newest committed seed per block; a read is
@@ -105,7 +104,7 @@ RunResult run_one(bool mvcc, std::uint64_t readers, std::uint64_t reads) {
     seed_of[b] = next_seed++;
   }
 
-  const std::uint64_t per_read_ns = modelled_read_ns(cfg.shard, profile);
+  const std::uint64_t per_read_ns = modelled_read_ns(profile);
   const auto mvcc_before = [&] {
     const core::MvccStats& s = sharded->shard_cache(0).mvcc().stats;
     return std::array<std::uint64_t, 3>{s.snapshot_reads.load(),

@@ -8,6 +8,85 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# ---------------------------------------------------------------------------
+# Knob check: every data member of a src/ *Config / *Options struct must be
+# assigned somewhere outside the header (and matching .cc) that declares it
+# — in src/, bench/, tests/, examples/ or perfbench/.  A field that nothing
+# ever sets is a configuration axis nobody runs; make it a named constant or
+# delete it.  "Assigned" is a textual match: `.f =`, `.f |=`, `->f =`,
+# designated initializers, and assignments through it such as `.f.g =`.
+python3 - <<'EOF'
+import pathlib, re, sys
+
+SEARCH = ("src", "bench", "tests", "examples", "perfbench")
+EXEMPT = {
+    # Only perfbench/ reads it (retry policy of its end-to-end stacks), and
+    # perfbench/ is the benchmark's own tree, changed only with the benchmark.
+    ("StackConfig", "disk_retry"),
+}
+
+
+def strip_comments(text):
+    text = re.sub(r"/\*.*?\*/", " ", text, flags=re.S)
+    return re.sub(r"//[^\n]*", "", text)
+
+
+def fields_of(body):
+    """Names of the data members declared at the top level of a struct body
+    (member functions, static constants, types and aliases are skipped)."""
+    fields, stmt, depth = [], "", 0
+    for i, c in enumerate(body):
+        stmt += c
+        if c in "({[":
+            depth += 1
+        elif c in ")}]":
+            depth -= 1
+            # A brace closing to the top level with no `;` after it ends a
+            # member-function body.
+            if (depth == 0 and c == "}" and "=" not in stmt.split("{")[0]
+                    and not body[i + 1:].lstrip().startswith(";")):
+                stmt = ""
+        elif c == ";" and depth == 0:
+            decl = re.sub(r"^\s*(public|private|protected)\s*:", "", stmt[:-1])
+            stmt = ""
+            decl = re.split(r"=|\{", decl, maxsplit=1)[0]
+            decl = re.sub(r"<[^<>]*(<[^<>]*>[^<>]*)*>", "", decl).strip()
+            if decl and "(" not in decl and not re.match(
+                    r"(static|using|typedef|friend|enum|struct|class)\b", decl):
+                fields.append(re.findall(r"\w+", decl)[-1])
+    return fields
+
+
+knobs = []  # (struct, field, declaring header)
+for path in sorted(pathlib.Path("src").rglob("*.h")):
+    text = strip_comments(path.read_text())
+    for m in re.finditer(r"\bstruct\s+(\w+(?:Config|Options))\b[^;{]*\{", text):
+        depth, j = 1, m.end()
+        while depth:
+            depth += {"{": 1, "}": -1}.get(text[j], 0)
+            j += 1
+        knobs += [(m.group(1), f, path) for f in fields_of(text[m.end():j - 1])]
+
+sources = {p: strip_comments(p.read_text()) for d in SEARCH
+           for p in pathlib.Path(d).rglob("*") if p.suffix in (".h", ".cc")}
+unset = []
+for struct, field, decl in knobs:
+    if (struct, field) in EXEMPT:
+        continue
+    assigned = re.compile(
+        r"(\.|->)" + field + r"\b(\s*(\.\w+|\[[^\]]*\]))*\s*\|?=(?!=)")
+    own = {decl, decl.with_suffix(".cc")}
+    if not any(assigned.search(text) for p, text in sources.items()
+               if p not in own):
+        unset.append(f"{struct}::{field} ({decl})")
+for u in unset:
+    print(f"knob check: never set outside its declaring file: {u}")
+if unset:
+    sys.exit(f"knob check: FAIL ({len(unset)} config fields nothing sets)")
+print(f"knob check: OK ({len(knobs)} fields in "
+      f"{len({s for s, _, _ in knobs})} config structs, all set by a caller)")
+EOF
+
 BUILD_DIR=${BUILD_DIR:-build-ci}
 SAN_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer"
 
@@ -135,21 +214,18 @@ echo "fuzz verdicts: OK (both sweeps equal their pinned golden files)"
 # coalesced at least one superseded record AND the §16 gates hold —
 # NvLog-Sharded >= 2x Sharded on the fsync-heavy commit window, parallel
 # drain-lag p95 <= 0.5x sequential, and watermark-ring rotation cools the
-# hot metadata line >= 10x.  The schema-checked JSON is published as
-# BENCH_nvlog_stacked.json for downstream comparison.
+# hot metadata line >= 10x.
 "$BENCH_DIR/bench/bench_nvlog" --json "$JSON_OUT/nvlog.json" > /dev/null
-cp "$JSON_OUT/nvlog.json" BENCH_nvlog_stacked.json
 
 # Group-commit smoke (DESIGN.md §14): single commits vs commit_group over a
 # hot-set stream sweep plus a TPC-C-style open-arrival DES.  The binary exits
 # nonzero unless grouped commit throughput at 8 streams is >= 2x single,
 # fences/txn < 0.25, 1-stream p95 does not regress, and the DES p95 at 100k
 # users improves — so this line gates "batching actually amortizes the flush
-# pass + fence".  The schema-checked JSON is published as
-# BENCH_group_commit.json for downstream comparison.
+# pass + fence".  Its threaded batcher row is wall-clock, so this JSON is
+# schema-checked only, never pinned.
 "$BENCH_DIR/bench/bench_group_commit" \
   --json "$JSON_OUT/group_commit.json" > /dev/null
-cp "$JSON_OUT/group_commit.json" BENCH_group_commit.json
 
 # Multi-stream smoke (DESIGN.md §15): per-stream commit rings vs the
 # single-ring baseline over real measured commit costs, plus fence
@@ -158,11 +234,21 @@ cp "$JSON_OUT/group_commit.json" BENCH_group_commit.json
 # does not grow with streams, and the ~10% cross-shard mix actually went
 # through the atomic cross-stream commit record — so this line gates "the
 # per-stream rings buy pipeline headroom without costing fences or
-# atomicity".  The schema-checked JSON is published as
-# BENCH_multistream.json for downstream comparison.
+# atomicity".
 "$BENCH_DIR/bench/bench_multistream" \
   --json "$JSON_OUT/multistream.json" > /dev/null
-cp "$JSON_OUT/multistream.json" BENCH_multistream.json
+
+# Pinned virtual-time benches: cleaner, MVCC reads, NvLog and multi-stream
+# run entirely in virtual time, so their JSON must equal the committed
+# golden files byte for byte, like the fuzz verdicts above.  A change that
+# moves them must re-record the file (the same run with --json BENCH_*.json)
+# and say in CHANGES.md why the numbers moved.
+cmp "$JSON_OUT/cleaner.json" BENCH_cleaner.json
+cmp "$JSON_OUT/mvcc.json" BENCH_mvcc.json
+cmp "$JSON_OUT/nvlog.json" BENCH_nvlog.json
+cmp "$JSON_OUT/multistream.json" BENCH_multistream.json
+echo "pinned benches: OK (cleaner, mvcc, nvlog and multistream equal their" \
+  "golden files)"
 
 # Oracle self-test: a sabotaged run (harness corrupts a committed data block
 # behind the backend's back) must FAIL, proving the oracle has teeth.

@@ -27,6 +27,11 @@
 
 namespace tinca::backend {
 
+/// Data-block universe [0, kFuzzDataBlocks) of the block-level campaigns —
+/// deliberately larger than the small NVM cache so evictions and
+/// write-backs run under fault pressure.
+inline constexpr std::uint64_t kFuzzDataBlocks = 320;
+
 /// Parameters of one block-level campaign: the shared campaign options plus
 /// the transactional workload's shape.
 struct FuzzOptions : CampaignOptions {
@@ -34,9 +39,6 @@ struct FuzzOptions : CampaignOptions {
   std::uint32_t txns_per_schedule = 12;
   /// Blocks per transaction: 1..min(this, backend max_txn_blocks()).
   std::uint32_t max_blocks_per_txn = 6;
-  /// Data-block universe [0, data_blocks) — deliberately larger than the
-  /// small NVM cache so evictions and write-backs run under fault pressure.
-  std::uint64_t data_blocks = 320;
   /// Armed power cuts land uniformly on NVM crash points [1, this].  The
   /// default covers the first few transactions of every stack; self-tests
   /// whose bug needs a LONG history first (e.g. the watermark-ring sabotage,
@@ -60,7 +62,7 @@ inline FuzzReport run_fault_fuzz(const FuzzOptions& opts) {
                    rep);
     Rng& rng = s.rng;
     RecordingBackend shim(*s.be);
-    TINCA_EXPECT(opts.data_blocks <= shim.data_block_limit(),
+    TINCA_EXPECT(kFuzzDataBlocks <= shim.data_block_limit(),
                  "fuzz universe exceeds the backend's data block limit");
     const std::uint64_t max_blocks = std::max<std::uint64_t>(
         1, std::min<std::uint64_t>(opts.max_blocks_per_txn,
@@ -111,7 +113,7 @@ inline FuzzReport run_fault_fuzz(const FuzzOptions& opts) {
               for (GroupTxn& member : batch) {
                 const std::uint64_t want = 1 + rng.below(2);
                 for (std::uint64_t k = 0; k < want; ++k) {
-                  const std::uint64_t blkno = rng.below(opts.data_blocks);
+                  const std::uint64_t blkno = rng.below(kFuzzDataBlocks);
                   bool dup = false;
                   for (const auto& [b, v] : member.writes) dup |= b == blkno;
                   if (dup) continue;  // writes within one member stay distinct
@@ -129,7 +131,7 @@ inline FuzzReport run_fault_fuzz(const FuzzOptions& opts) {
               const std::uint64_t nblocks = 1 + rng.below(max_blocks);
               std::vector<std::pair<std::uint64_t, std::uint64_t>> txn;
               while (txn.size() < nblocks) {
-                const std::uint64_t blkno = rng.below(opts.data_blocks);
+                const std::uint64_t blkno = rng.below(kFuzzDataBlocks);
                 bool dup = false;
                 for (const auto& [b, v] : txn) dup |= b == blkno;
                 if (dup) continue;

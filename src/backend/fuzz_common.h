@@ -94,7 +94,6 @@ struct CampaignOptions {
   /// layout; >1 splits each shard's ring region into per-stream rings and
   /// lets cross-shard transactions anchor to the commit directory.
   std::uint32_t streams = 1;
-  blockdev::RetryPolicy retry{};
   /// Background cleaner mode for the stack under test (kStepped arms it
   /// deterministically: the harness drains one cleaner quantum after every
   /// commit, and crash points inside the drain are swept like any other).
@@ -214,7 +213,6 @@ inline std::unique_ptr<TxnBackend> fuzz_build(const CampaignOptions& o,
   core::TincaConfig tc;
   tc.ring_bytes = o.ring_bytes;
   tc.num_streams = o.streams;
-  tc.io = o.retry;
   tc.cleaner = cl;
   switch (o.kind) {
     case StackKind::kTinca:
@@ -225,13 +223,11 @@ inline std::unique_ptr<TxnBackend> fuzz_build(const CampaignOptions& o,
       classic::ClassicConfig c;
       c.journaling = o.kind == StackKind::kClassic;
       c.journal_blocks = o.journal_blocks;
-      c.cache.io = o.retry;
       return recover ? ClassicBackend::recover(nvm, disk, c)
                      : ClassicBackend::format(nvm, disk, c);
     }
     case StackKind::kUbj: {
       ubj::UbjConfig c;
-      c.io = o.retry;
       c.cleaner = cl;
       return recover ? UbjBackend::recover(nvm, disk, c)
                      : UbjBackend::format(nvm, disk, c);
@@ -258,7 +254,6 @@ inline std::unique_ptr<TxnBackend> fuzz_build(const CampaignOptions& o,
       c.log.segment_bytes = 64 * 1024;  // 7 segments → frequent wrap + drain
       c.inner = nvlog_inner(o.kind);
       c.classic.journal_blocks = o.journal_blocks;  // same data area as Classic
-      c.classic.cache.io = o.retry;
       c.shards = o.shards;
       // A Tinca inner keeps its own §11 cleaner on the harness' settings;
       // the *log* cleaner (segment drains) is the one the stepped campaigns
@@ -341,7 +336,7 @@ struct FuzzSchedule {
         nvm(detail::fuzz_nvm_bytes(o.kind, o.nvm_bytes, h.tinca_cache_bytes),
             nvdimm_profile(), clock),
         mem(o.disk_blocks),
-        disk(mem, fault_config(disk_faults), &clock, &nvm.injector),
+        disk(mem, fault_config(disk_faults), &nvm.injector),
         be(detail::fuzz_build(o, nvm, disk, false)) {
     ++rep.schedules;
   }
@@ -354,7 +349,6 @@ struct FuzzSchedule {
     t.bad_sectors += f.bad_sectors;
     t.bad_sector_errors += f.bad_sector_errors;
     t.torn_writes += f.torn_writes;
-    t.latency_spikes += f.latency_spikes;
   }
 
   FuzzSchedule(const FuzzSchedule&) = delete;

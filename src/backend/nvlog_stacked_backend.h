@@ -257,7 +257,11 @@ class NvLogStackedBackend final : public TxnBackend,
 
   // --- DrainSink -----------------------------------------------------------
 
+  // Both apply paths honour the cleaner's oracle sabotage knob, as the
+  // other caches' cleaner clients do: "mark clean without writing" is a
+  // drain that retires its segment with nothing applied to the inner store.
   void drain_apply(const DrainBatch& blocks) override {
+    if (cfg_.cleaner.sabotage_skip_write) return;
     apply_chunked(blocks);
   }
 
@@ -272,6 +276,7 @@ class NvLogStackedBackend final : public TxnBackend,
 
   std::uint64_t drain_apply_shards(
       const std::vector<DrainBatch>& shard_batches) override {
+    if (cfg_.cleaner.sabotage_skip_write) return 0;
     if (cfg_.drain_threads) return drain_shards_threaded(shard_batches);
     // Deterministic mode: apply the shard batches one after another —
     // they touch disjoint shards, so order is immaterial — but model the
@@ -353,9 +358,6 @@ class NvLogStackedBackend final : public TxnBackend,
                                                  nvm.clock());
     store_view_ = std::make_unique<nvm::NvmDevice>(
         nvm, cfg.log_bytes, nvm.size() - cfg.log_bytes, nvm.clock());
-    // The cleaner's oracle sabotage knob maps onto the tier's: "mark clean
-    // without writing" is exactly a drain that skips its apply.
-    cfg.log.sabotage_skip_drain_apply |= cfg.cleaner.sabotage_skip_write;
     switch (cfg.inner) {
       case NvLogInner::kClassic:
         cfg.classic.journaling = false;
@@ -437,7 +439,7 @@ class NvLogStackedBackend final : public TxnBackend,
     std::vector<std::uint64_t> seqs;
     {
       std::lock_guard<std::mutex> lock(tier_mu_);
-      tier_->collect_drainable(cleaner_->config().trickle_per_step, seqs);
+      tier_->collect_drainable(cleaner::kTricklePerStep, seqs);
     }
     for (std::uint64_t s : seqs) cleaner_->try_enqueue(s);
   }

@@ -67,7 +67,6 @@ struct StackConfig {
   blockdev::WritePolicy disk_writes = blockdev::WritePolicy::kAsync;
   core::TincaConfig tinca;
   classic::ClassicConfig classic;
-  ubj::UbjConfig ubj;
   /// NvLog tier for kNvLogClassic / kNvLogTinca / kNvLogSharded (DESIGN.md
   /// §13/§16).  The inner kind follows `kind`; the inner store configs and
   /// shard count are copied from the top-level `classic` / `tinca` /
@@ -75,10 +74,6 @@ struct StackConfig {
   NvLogStackedConfig nvlog_stacked;
   /// Shard count for kShardedTinca (per-shard config comes from `tinca`).
   std::uint32_t tinca_shards = 4;
-  /// Disk fault schedule (DESIGN.md §9).  The defaults inject nothing, so
-  /// the decorator is a transparent pass-through unless rates are raised or
-  /// faults are scripted through Stack::faulty_disk().
-  blockdev::FaultConfig disk_faults{};
   /// Retry/backoff policy applied to every backend's disk I/O (copied into
   /// the selected backend's own config at assembly time).
   blockdev::RetryPolicy disk_retry{};
@@ -94,8 +89,10 @@ class Stack {
         // Device chain: mem ← fault injection ← latency model.  A failed
         // attempt costs time (the latency layer charges it) but never
         // reaches mem, so blocks_written counts only landed writes and the
-        // write accounting below stays exact.
-        faulty_(mem_, cfg.disk_faults, &clock_, &nvm_.injector),
+        // write accounting below stays exact.  No random fault rates: the
+        // layer injects only scripted faults (faulty_disk()) and armed torn
+        // writes.
+        faulty_(mem_, blockdev::FaultConfig{}, &nvm_.injector),
         disk_(faulty_, disk_profile_by_name(cfg.disk_profile), clock_,
               cfg.disk_writes) {
     switch (cfg.kind) {
@@ -120,7 +117,7 @@ class Stack {
         break;
       }
       case StackKind::kUbj: {
-        ubj::UbjConfig c = cfg.ubj;
+        ubj::UbjConfig c;
         c.io = cfg.disk_retry;
         backend_ = UbjBackend::format(nvm_, disk_, c);
         break;
@@ -159,9 +156,11 @@ class Stack {
   [[nodiscard]] TxnBackend& backend() { return *backend_; }
   [[nodiscard]] const StackConfig& config() const { return cfg_; }
 
-  /// Total cache-line flushes issued so far.
+  /// Total cache-line flushes issued so far, through the root device and
+  /// every sub-range view the backend carved out of it (shards, commit
+  /// directory, log and store).
   [[nodiscard]] std::uint64_t clflush_count() const {
-    return nvm_.stats().clflush;
+    return nvm_.total_stats().clflush;
   }
 
   /// Total blocks written to the backing disk so far.
@@ -204,7 +203,6 @@ class Stack {
     reg.add_counter("disk.faults.bad_sectors", &f.bad_sectors);
     reg.add_counter("disk.faults.bad_sector_errors", &f.bad_sector_errors);
     reg.add_counter("disk.faults.torn_writes", &f.torn_writes);
-    reg.add_counter("disk.faults.latency_spikes", &f.latency_spikes);
     reg.add_gauge("sim.now_ns", [this] { return clock_.now(); });
     // Media-endurance view (Table 1: PCM/ReRAM cells endure 10^6–10^8
     // writes): the hottest line, the average, and their ratio — a skew of

@@ -8,23 +8,14 @@
 namespace tinca::blockdev {
 
 FaultyBlockDevice::FaultyBlockDevice(BlockDevice& inner, FaultConfig cfg,
-                                     sim::SimClock* clock,
                                      nvm::CrashInjector* injector)
     : inner_(inner),
       cfg_(cfg),
-      clock_(clock),
       injector_(injector),
       rng_(cfg.seed) {}
 
 void FaultyBlockDevice::mark_bad(std::uint64_t blkno) {
   if (bad_.insert(blkno).second) ++faults_.bad_sectors;
-}
-
-void FaultyBlockDevice::maybe_spike() {
-  if (cfg_.latency_spike_rate <= 0.0 || clock_ == nullptr) return;
-  if (!rng_.chance(cfg_.latency_spike_rate)) return;
-  clock_->advance(cfg_.latency_spike_ns);
-  ++faults_.latency_spikes;
 }
 
 void FaultyBlockDevice::tear(std::uint64_t blkno,
@@ -42,7 +33,6 @@ void FaultyBlockDevice::tear(std::uint64_t blkno,
 IoStatus FaultyBlockDevice::read(std::uint64_t blkno,
                                  std::span<std::byte> dst) {
   TINCA_EXPECT(dst.size() == kBlockSize, "short read buffer");
-  maybe_spike();
   if (forced_read_failures_ > 0) {
     --forced_read_failures_;
     ++faults_.transient_read_errors;
@@ -58,7 +48,6 @@ IoStatus FaultyBlockDevice::read(std::uint64_t blkno,
 IoStatus FaultyBlockDevice::write(std::uint64_t blkno,
                                   std::span<const std::byte> src) {
   TINCA_EXPECT(src.size() == kBlockSize, "short write buffer");
-  maybe_spike();
   if (injector_ != nullptr && injector_->point_torn()) tear(blkno, src);
   if (forced_tear_countdown_ > 0 && --forced_tear_countdown_ == 0)
     tear(blkno, src);

@@ -13,9 +13,7 @@
 //   * torn writes — a simulated power cut lands mid-write, the inner device
 //     receives a half-new/half-old 4 KB block, and CrashException is thrown
 //     (either randomly via `torn_write_rate` or deterministically via a
-//     CrashInjector torn point, see nvm/crash.h);
-//   * latency spikes — occasional multi-millisecond stalls charged to the
-//     SimClock, modelling device-internal housekeeping.
+//     CrashInjector torn point, see nvm/crash.h).
 //
 // Randomized faults draw from a private xoshiro generator seeded by
 // FaultConfig::seed, so every schedule is reproducible from the seed alone.
@@ -29,7 +27,6 @@
 
 #include "blockdev/block_device.h"
 #include "common/rng.h"
-#include "common/sim_clock.h"
 #include "nvm/crash.h"
 
 namespace tinca::blockdev {
@@ -44,8 +41,6 @@ struct FaultConfig {
   double transient_write_rate = 0.0; ///< P(write fails with kTransient)
   double bad_sector_rate = 0.0;      ///< P(write discovers a new bad sector)
   double torn_write_rate = 0.0;      ///< P(write tears + CrashException)
-  double latency_spike_rate = 0.0;   ///< P(operation stalls spike_ns extra)
-  std::uint64_t latency_spike_ns = 5'000'000;  ///< spike length (5 ms)
 };
 
 /// Counters of injected faults.
@@ -55,18 +50,15 @@ struct FaultStats {
   std::uint64_t bad_sectors = 0;        ///< distinct sectors gone bad
   std::uint64_t bad_sector_errors = 0;  ///< writes failed on a bad sector
   std::uint64_t torn_writes = 0;
-  std::uint64_t latency_spikes = 0;
 };
 
 /// BlockDevice decorator injecting the configured faults.
 class FaultyBlockDevice final : public BlockDevice {
  public:
-  /// `clock` (optional) receives latency-spike charges; `injector`
-  /// (optional) is consulted for deterministic torn-write points — pass the
-  /// stack's NvmDevice injector so one armed counter covers NVM stores and
-  /// disk writes alike.
+  /// `injector` (optional) is consulted for deterministic torn-write
+  /// points — pass the stack's NvmDevice injector so one armed counter
+  /// covers NVM stores and disk writes alike.
   FaultyBlockDevice(BlockDevice& inner, FaultConfig cfg,
-                    sim::SimClock* clock = nullptr,
                     nvm::CrashInjector* injector = nullptr);
 
   [[nodiscard]] std::uint64_t block_count() const override {
@@ -108,7 +100,6 @@ class FaultyBlockDevice final : public BlockDevice {
     cfg_.transient_write_rate = 0.0;
     cfg_.bad_sector_rate = 0.0;
     cfg_.torn_write_rate = 0.0;
-    cfg_.latency_spike_rate = 0.0;
   }
 
   // --- Introspection -------------------------------------------------------
@@ -121,13 +112,11 @@ class FaultyBlockDevice final : public BlockDevice {
   [[nodiscard]] const FaultConfig& config() const { return cfg_; }
 
  private:
-  void maybe_spike();
   /// Apply a torn write (prefix new, suffix old) and raise CrashException.
   [[noreturn]] void tear(std::uint64_t blkno, std::span<const std::byte> src);
 
   BlockDevice& inner_;
   FaultConfig cfg_;
-  sim::SimClock* clock_;
   nvm::CrashInjector* injector_;
   Rng rng_;
   std::unordered_set<std::uint64_t> bad_;

@@ -32,7 +32,6 @@ std::unique_ptr<ClassicStack> ClassicStack::format(nvm::NvmDevice& nvm,
     JournalConfig jc;
     jc.base_blkno = s->journal_base_;
     jc.length_blocks = cfg.journal_blocks;
-    jc.checkpoint_low_water = cfg.checkpoint_low_water;
     s->journal_ = Journal::format(*s->cache_, jc);
   }
   return s;
@@ -49,7 +48,6 @@ std::unique_ptr<ClassicStack> ClassicStack::recover(nvm::NvmDevice& nvm,
     JournalConfig jc;
     jc.base_blkno = s->journal_base_;
     jc.length_blocks = cfg.journal_blocks;
-    jc.checkpoint_low_water = cfg.checkpoint_low_water;
     s->journal_ = Journal::recover(*s->cache_, jc);
   }
   return s;

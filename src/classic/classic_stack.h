@@ -29,8 +29,6 @@ struct ClassicConfig {
   bool journaling = true;
   /// Blocks reserved for the journal at the top of the disk address space.
   std::uint64_t journal_blocks = 8192;
-  /// Checkpoint low-water fraction.
-  double checkpoint_low_water = 0.25;
   /// Cache-layer tunables.
   FlashCacheConfig cache;
 };

@@ -4,6 +4,7 @@
 
 #include "common/bytes.h"
 #include "common/expect.h"
+#include "common/latency.h"
 #include "obs/metrics.h"
 
 namespace tinca::classic {
@@ -232,7 +233,7 @@ std::uint32_t FlashCache::provision_slot(std::uint32_t set,
 blockdev::IoStatus FlashCache::write_block(std::uint64_t disk_blkno,
                                            std::span<const std::byte> data) {
   TINCA_EXPECT(data.size() == kBlockSize, "writes are whole 4 KB blocks");
-  nvm_.clock().advance(cfg_.cpu_op_ns);
+  nvm_.clock().advance(kCpuOpNs);
   op_st_ = blockdev::IoStatus::kOk;
   const std::uint32_t set = set_of(disk_blkno);
   auto it = index_.find(disk_blkno);
@@ -269,9 +270,8 @@ blockdev::IoStatus FlashCache::write_block(std::uint64_t disk_blkno,
 }
 
 void FlashCache::clean_set_to_threshold(std::uint32_t set) {
-  if (cfg_.dirty_thresh_pct >= 100) return;
   const std::uint32_t limit =
-      FlashCacheConfig::kAssoc * cfg_.dirty_thresh_pct / 100;
+      FlashCacheConfig::kAssoc * FlashCacheConfig::kDirtyThreshPct / 100;
   if (set_dirty_[set] <= limit) return;
   // Oldest-first cleaning, as Flashcache's background cleaner does.  Slots
   // whose writeback fails are excluded for this pass — otherwise a
@@ -304,7 +304,7 @@ void FlashCache::clean_set_to_threshold(std::uint32_t set) {
 blockdev::IoStatus FlashCache::read_block(std::uint64_t disk_blkno,
                                           std::span<std::byte> dst) {
   TINCA_EXPECT(dst.size() == kBlockSize, "reads are whole 4 KB blocks");
-  nvm_.clock().advance(cfg_.cpu_op_ns);
+  nvm_.clock().advance(kCpuOpNs);
   op_st_ = blockdev::IoStatus::kOk;
   auto it = index_.find(disk_blkno);
   if (it != index_.end()) {

@@ -41,6 +41,10 @@ namespace tinca::classic {
 struct FlashCacheConfig {
   /// Slots per set == slot records per metadata block (4096 / 16).
   static constexpr std::uint32_t kAssoc = 256;
+  /// Background-writeback dirty threshold per set, in percent (Flashcache's
+  /// `dirty_thresh_pct` default): when a set's dirty fraction exceeds this,
+  /// dirty blocks are written back oldest-first until it is met.
+  static constexpr std::uint32_t kDirtyThreshPct = 20;
   /// Synchronously persist the set's metadata block on every write
   /// (Flashcache's behaviour).  Off = the Fig 4 "no metadata updating"
   /// ablation.
@@ -52,13 +56,6 @@ struct FlashCacheConfig {
   /// statistics (the stack above sets it to the journal base so workload
   /// data and journal traffic can be told apart).  Default: everything.
   std::uint64_t hit_stats_boundary = UINT64_MAX;
-  /// Background-writeback dirty threshold per set, in percent (Flashcache's
-  /// `dirty_thresh_pct`, default 20): when a set's dirty fraction exceeds
-  /// this, dirty blocks are written back oldest-first until it is met.
-  /// 100 disables threshold cleaning (pure replacement-driven write-back).
-  std::uint32_t dirty_thresh_pct = 20;
-  /// Modelled software overhead per cache operation.
-  std::uint64_t cpu_op_ns = 150;
   /// Retry/backoff policy for disk I/O (DESIGN.md §9).
   blockdev::RetryPolicy io{};
 };

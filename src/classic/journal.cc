@@ -156,7 +156,7 @@ void Journal::checkpoint_one() {
 
 void Journal::make_room(std::uint64_t needed_blocks) {
   const auto low_water = static_cast<std::uint64_t>(
-      cfg_.checkpoint_low_water * static_cast<double>(ring_len()));
+      JournalConfig::kCheckpointLowWater * static_cast<double>(ring_len()));
   bool advanced = false;
   while (!unchkpt_.empty() &&
          (free_ring_blocks() < needed_blocks || free_ring_blocks() < low_water)) {

@@ -34,7 +34,7 @@ struct JournalConfig {
   /// Length of the journal area in blocks (superblock + ring).
   std::uint64_t length_blocks = 8192;
   /// Checkpoint when the free fraction of the ring drops below this.
-  double checkpoint_low_water = 0.25;
+  static constexpr double kCheckpointLowWater = 0.25;
 };
 
 /// Counters for one journal instance.

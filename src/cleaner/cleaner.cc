@@ -19,7 +19,6 @@ Cleaner::Cleaner(CleanerConfig cfg, CleanerClient& client,
       ts_retire_(trace_.site("retire")) {
   TINCA_EXPECT(cfg_.mode != CleanerMode::kDisabled,
                "a disabled cleaner must not be constructed");
-  TINCA_EXPECT(cfg_.queue_cap > 0, "cleaner queue capacity must be positive");
   TINCA_EXPECT(cfg_.low_water_pct <= cfg_.high_water_pct &&
                    cfg_.high_water_pct <= 100,
                "cleaner watermarks must satisfy low <= high <= 100");
@@ -32,7 +31,7 @@ bool Cleaner::try_enqueue(std::uint64_t key) {
     ++stats_.dup_skips;
     return true;
   }
-  if (queue_.size() + retry_.size() >= cfg_.queue_cap) {
+  if (queue_.size() + retry_.size() >= kQueueCap) {
     ++stats_.queue_rejects;
     return false;
   }
@@ -66,7 +65,7 @@ CleanOutcome Cleaner::clean_one(const Item& item) {
       // eventual success still reports its true drain lag.
       ++stats_.failures;
       retry_.push_back(
-          Item{item.key, item.enq_ns, step_no_ + cfg_.retry_backoff_steps});
+          Item{item.key, item.enq_ns, step_no_ + kRetryBackoffSteps});
       break;
   }
   return out;
@@ -132,7 +131,7 @@ std::uint64_t Cleaner::step() {
   TINCA_TRACE_SPAN(trace_, ts_step_);
   ++step_no_;
   ++stats_.steps;
-  if (cfg_.pacer != nullptr) cfg_.pacer->grant(cfg_.pacer_grant_per_step);
+  if (cfg_.pacer != nullptr) cfg_.pacer->grant_step();
 
   std::uint64_t retired = 0;
 
@@ -156,10 +155,10 @@ std::uint64_t Cleaner::step() {
     const std::uint64_t target = cap * cfg_.low_water_pct / 100;
     const std::uint64_t excess = dirty > target ? dirty - target : 0;
     budget = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(excess, cfg_.max_batch_blocks));
+        std::min<std::uint64_t>(excess, kMaxBatchBlocks));
     pull_from_client(budget);
   } else if (!queue_.empty()) {
-    budget = cfg_.trickle_per_step;
+    budget = kTricklePerStep;
   }
   retired += drain_upto(budget, /*use_pacer=*/true);
   return retired;
@@ -168,7 +167,7 @@ std::uint64_t Cleaner::step() {
 std::uint64_t Cleaner::drain_blocking() {
   TINCA_TRACE_SPAN(trace_, ts_drain_);
   ++stats_.backpressure_drains;
-  if (queue_.empty()) pull_from_client(cfg_.max_batch_blocks);
+  if (queue_.empty()) pull_from_client(kMaxBatchBlocks);
 
   // Attempt everything queued, unpaced — the foreground is already blocked.
   std::uint64_t retired =

@@ -34,7 +34,7 @@
 //
 // Pacing: step() cleans nothing below the low watermark unless blocks are
 // already queued (a trickle drains explicit requests), ramps up to
-// max_batch_blocks per step above the high watermark, and — when several
+// kMaxBatchBlocks per step above the high watermark, and — when several
 // cleaners share one Pacer (the sharded front-end) — competes for a global
 // token budget so N shards don't multiply the background write rate by N.
 #pragma once
@@ -97,20 +97,41 @@ class CleanerClient {
                                std::vector<std::uint64_t>& out) = 0;
 };
 
+/// Fixed pacing policy (DESIGN.md §11).  None of these has a caller that
+/// wants another value, so they are constants rather than config fields.
+/// Bounded queue capacity: try_enqueue on a full queue returns false — the
+/// block simply stays dirty and the watermark pull finds it later.
+inline constexpr std::uint32_t kQueueCap = 256;
+/// Blocks drained per step below the high watermark (explicit enqueues).
+inline constexpr std::uint32_t kTricklePerStep = 4;
+/// Max blocks drained per step above the high watermark.  Also the batch
+/// window for coalescing contiguous disk blocks (the drain sorts each
+/// batch, so ascending runs hit the disk's sequential fast path) and the
+/// burst size of a shared Pacer.
+inline constexpr std::uint32_t kMaxBatchBlocks = 16;
+/// A kFailed key waits this many steps before its next attempt.
+inline constexpr std::uint32_t kRetryBackoffSteps = 8;
+
 /// Token bucket shared by several cleaners (one per shard): each step grants
 /// a slice, each clean attempt takes one token, so the aggregate background
 /// write rate stays bounded no matter how many shards are hot.  Thread-safe
 /// (thread-mode cleaners pull from it concurrently).
 class Pacer {
  public:
-  /// `capacity` caps banked tokens (burst size).
-  explicit Pacer(std::int64_t capacity) : capacity_(capacity) {}
+  /// `capacity` caps banked tokens (burst size); each of the `sharers`
+  /// cleaners' steps grants a 1/sharers slice of it (at least one token).
+  explicit Pacer(std::int64_t capacity, std::int64_t sharers = 1)
+      : capacity_(capacity),
+        step_grant_(std::max<std::int64_t>(1, capacity / sharers)) {}
 
   /// Deposit `n` tokens, clamped at capacity.
   void grant(std::int64_t n) {
     std::lock_guard<std::mutex> lock(mu_);
     tokens_ = std::min(capacity_, tokens_ + n);
   }
+
+  /// Deposit one sharer's per-step slice.
+  void grant_step() { grant(step_grant_); }
 
   /// Take one token; false when the bucket is empty.
   bool try_take() {
@@ -128,33 +149,21 @@ class Pacer {
  private:
   mutable std::mutex mu_;
   std::int64_t capacity_;
+  std::int64_t step_grant_;
   std::int64_t tokens_ = 0;
 };
 
 /// Cleaner tunables (embedded in TincaConfig / UbjConfig).
 struct CleanerConfig {
   CleanerMode mode = CleanerMode::kDisabled;
-  /// Bounded queue capacity.  try_enqueue on a full queue returns false —
-  /// the block simply stays dirty and the watermark pull finds it later.
-  std::uint32_t queue_cap = 256;
   /// Dirty-ratio watermarks in percent of capacity.  Above high: drain hard
-  /// (up to max_batch_blocks per step, pulling from the client as needed)
+  /// (up to kMaxBatchBlocks per step, pulling from the client as needed)
   /// until dirty drops toward low.  Below high: only trickle explicit
   /// enqueues.
   std::uint32_t low_water_pct = 20;
   std::uint32_t high_water_pct = 50;
-  /// Blocks drained per step below the high watermark (explicit enqueues).
-  std::uint32_t trickle_per_step = 4;
-  /// Max blocks drained per step above the high watermark.  Also the batch
-  /// window for coalescing contiguous disk blocks (the drain sorts each
-  /// batch, so ascending runs hit the disk's sequential fast path).
-  std::uint32_t max_batch_blocks = 16;
-  /// A kFailed key waits this many steps before its next attempt.
-  std::uint32_t retry_backoff_steps = 8;
   /// Thread-mode poll period (wall microseconds).
   std::uint32_t thread_poll_us = 200;
-  /// Tokens granted into the shared pacer per step (shard's fair slice).
-  std::uint32_t pacer_grant_per_step = 1;
   /// Chrome-trace thread-track id (the sharded front-end sets it per shard).
   int trace_tid = 0;
   /// Oracle self-test only (fuzz harness): the client marks blocks clean

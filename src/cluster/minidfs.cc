@@ -10,6 +10,7 @@
 namespace tinca::cluster {
 
 using sim::Ns;
+using workloads::FilebenchConfig;
 
 MiniDfs::MiniDfs(const DfsConfig& cfg) : cfg_(cfg) {
   TINCA_EXPECT(cfg.nodes >= 1, "cluster needs at least one node");
@@ -53,9 +54,11 @@ Ns MiniDfs::run_teragen(std::uint64_t total_bytes) {
 
   const std::uint64_t nchunks =
       (total_bytes + cfg_.chunk_bytes - 1) / cfg_.chunk_bytes;
-  const Ns xfer = cfg_.net.transfer_ns(cfg_.chunk_bytes);
-  const auto gen_cost = static_cast<Ns>(
-      static_cast<double>(cfg_.chunk_bytes) / cfg_.client_gen_bytes_per_sec * 1e9);
+  const NetProfile net = tengig_profile();  // the paper's 10 GbE
+  const Ns xfer = net.transfer_ns(cfg_.chunk_bytes);
+  const auto gen_cost =
+      static_cast<Ns>(static_cast<double>(cfg_.chunk_bytes) /
+                      DfsConfig::kClientGenBytesPerSec * 1e9);
 
   std::vector<Ns> acks;
   acks.reserve(nchunks);
@@ -65,8 +68,8 @@ Ns MiniDfs::run_teragen(std::uint64_t total_bytes) {
   for (std::uint64_t c = 0; c < nchunks; ++c) {
     // Client generates the chunk, throttled by the pipeline window.
     Ns start = gen_ready;
-    if (c >= cfg_.pipeline_window)
-      start = std::max(start, acks[c - cfg_.pipeline_window]);
+    if (c >= DfsConfig::kPipelineWindow)
+      start = std::max(start, acks[c - DfsConfig::kPipelineWindow]);
     gen_ready = start + gen_cost;
 
     // Store-and-forward along the replica chain; every replica's write is
@@ -77,7 +80,7 @@ Ns MiniDfs::run_teragen(std::uint64_t total_bytes) {
       StorageNode& node = *nodes_[replica_node(c, j)];
       workloads::TeraGenSink& sink = *sinks[replica_node(c, j)];
       const Ns arrive =
-          node.ingress().acquire(data_at_upstream, xfer) + cfg_.net.rtt_ns;
+          node.ingress().acquire(data_at_upstream, xfer) + net.rtt_ns;
       const Ns service =
           node.measure([&] { sink.generate(cfg_.chunk_bytes); });
       const Ns done = node.storage().acquire(arrive, service);
@@ -103,16 +106,16 @@ class ClusterFilebenchDriver {
  public:
   ClusterFilebenchDriver(std::vector<StorageNode*> nodes,
                          const workloads::FilebenchConfig& cfg,
-                         std::uint32_t replicas, const NetProfile& net)
+                         std::uint32_t replicas)
       : nodes_(std::move(nodes)),
         cfg_(cfg),
         replicas_(replicas),
-        net_(net),
+        net_(tengig_profile()),
         rng_(cfg.seed),
         zipf_(cfg.nfiles, cfg.zipf_theta),
         alive_(cfg.nfiles, 0),
         size_(cfg.nfiles, 0),
-        iobuf_(cfg.request_bytes) {}
+        iobuf_(FilebenchConfig::kRequestBytes) {}
 
   /// Which nodes hold file `id`.
   [[nodiscard]] std::uint32_t replica_of(std::uint64_t id, std::uint32_t j) const {
@@ -120,14 +123,15 @@ class ClusterFilebenchDriver {
   }
 
   [[nodiscard]] std::string path_of(std::uint64_t id) const {
-    return "/d" + std::to_string(id / cfg_.files_per_dir) + "/f" +
+    return "/d" + std::to_string(id / FilebenchConfig::kFilesPerDir) + "/f" +
            std::to_string(id);
   }
 
   /// Create directories and initial files on their replica sets (untimed).
   void populate() {
     const std::uint64_t ndirs =
-        (cfg_.nfiles + cfg_.files_per_dir - 1) / cfg_.files_per_dir;
+        (cfg_.nfiles + FilebenchConfig::kFilesPerDir - 1) /
+        FilebenchConfig::kFilesPerDir;
     for (auto* node : nodes_)
       for (std::uint64_t d = 0; d < ndirs; ++d)
         node->fsys().mkdir("/d" + std::to_string(d));
@@ -193,7 +197,8 @@ class ClusterFilebenchDriver {
     std::uint64_t off = 0;
     while (off < size_[id]) {
       const std::uint64_t chunk =
-          std::min<std::uint64_t>(cfg_.request_bytes, size_[id] - off);
+          std::min<std::uint64_t>(FilebenchConfig::kRequestBytes,
+                                  size_[id] - off);
       fill_pattern(std::span(iobuf_).subspan(0, chunk), id * 131 + off);
       fsys.write(path, off, std::span(iobuf_).subspan(0, chunk));
       off += chunk;
@@ -214,7 +219,7 @@ class ClusterFilebenchDriver {
       return;
     }
     const std::string path = path_of(id);
-    if (size_[id] + cfg_.request_bytes > fsys.max_file_bytes()) {
+    if (size_[id] + FilebenchConfig::kRequestBytes > fsys.max_file_bytes()) {
       do_recreate(fsys, id, sync);
       return;
     }
@@ -260,7 +265,7 @@ class ClusterFilebenchDriver {
 
   template <typename F>
   Ns timed_write(Ns op_start, std::uint64_t id, F&& fn) {
-    const Ns xfer = net_.transfer_ns(cfg_.request_bytes);
+    const Ns xfer = net_.transfer_ns(FilebenchConfig::kRequestBytes);
     const std::uint64_t size_before = size_[id];
     const std::uint8_t alive_before = alive_[id];
     Ns done = op_start;
@@ -307,7 +312,7 @@ ClusterFilebenchResult MiniDfs::run_filebench(
   std::vector<StorageNode*> raw;
   raw.reserve(nodes_.size());
   for (auto& n : nodes_) raw.push_back(n.get());
-  ClusterFilebenchDriver driver(std::move(raw), wl, cfg_.replicas, cfg_.net);
+  ClusterFilebenchDriver driver(std::move(raw), wl, cfg_.replicas);
   driver.populate();
 
   ClusterFilebenchResult result;
@@ -317,7 +322,7 @@ ClusterFilebenchResult MiniDfs::run_filebench(
     const std::uint32_t s = static_cast<std::uint32_t>(i % client_streams);
     bool was_read = false;
     const Ns done = driver.run_op(stream_ready[s], &was_read);
-    stream_ready[s] = done + cfg_.client_op_overhead_ns;
+    stream_ready[s] = done + DfsConfig::kClientOpOverheadNs;
     makespan = std::max(makespan, done);
     ++result.ops;
     if (was_read)

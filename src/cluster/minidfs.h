@@ -34,22 +34,20 @@ struct DfsConfig {
   std::uint32_t nodes = 4;
   /// Replication factor (paper sweeps 1–3; GlusterFS tests use 2).
   std::uint32_t replicas = 3;
-  /// Interconnect model (paper: 10 GbE).
-  NetProfile net = tengig_profile();
   /// Per-node stack assembly.
   NodeConfig node;
   /// Chunk granularity of the TeraGen pipeline DES.
   std::uint64_t chunk_bytes = 1ull << 20;
   /// Outstanding chunks the client keeps in flight.
-  std::uint32_t pipeline_window = 4;
+  static constexpr std::uint32_t kPipelineWindow = 4;
   /// Client-side generation rate for TeraGen row synthesis (bytes/sec) —
   /// the mapper's row synthesis plus HDFS-client checksumming/packetizing.
-  double client_gen_bytes_per_sec = 2.3e8;
+  static constexpr double kClientGenBytesPerSec = 2.3e8;
   /// Per-operation client-side overhead for the Filebench personality:
   /// GlusterFS serves through FUSE and runs AFR's transaction (lock,
   /// pre-op xattr, op, post-op xattr, unlock) per write — millisecond-scale
   /// regardless of the storage stack underneath.
-  sim::Ns client_op_overhead_ns = 4400 * sim::kUsec;
+  static constexpr sim::Ns kClientOpOverheadNs = 4400 * sim::kUsec;
 };
 
 /// Aggregate result of a cluster Filebench run.

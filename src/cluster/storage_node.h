@@ -20,16 +20,15 @@ namespace tinca::cluster {
 /// Node assembly parameters.
 struct NodeConfig {
   backend::StackConfig stack;
-  /// Mount a MiniFs on the node (Filebench experiments).
+  /// Mount a MiniFs (default geometry) on the node (Filebench experiments).
   bool with_fs = false;
-  fs::MiniFsConfig fs;
 };
 
 /// A data node: local stack + DES resources.
 class StorageNode {
  public:
   explicit StorageNode(const NodeConfig& cfg) : stack_(cfg.stack) {
-    if (cfg.with_fs) fsys_ = fs::MiniFs::mkfs(stack_.backend(), cfg.fs);
+    if (cfg.with_fs) fsys_ = fs::MiniFs::mkfs(stack_.backend());
   }
 
   /// Run `fn` against the local stack and return its storage service time

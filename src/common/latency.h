@@ -15,6 +15,10 @@
 
 namespace tinca {
 
+/// Modelled software overhead of one cache operation (lookup, bookkeeping),
+/// charged in virtual time by every cache model (Tinca, Flashcache, UBJ).
+inline constexpr sim::Ns kCpuOpNs = 150;
+
 /// Per-technology NVM timing, charged per 64 B cache line.
 struct NvmProfile {
   std::string name;

@@ -38,7 +38,8 @@ std::vector<std::string_view> split_path(std::string_view path) {
 
 MiniFs::MiniFs(backend::TxnBackend& backend, MiniFsConfig cfg)
     : backend_(backend), cfg_(cfg) {
-  txn_budget_ = std::min(cfg_.max_txn_blocks, backend_.max_txn_blocks());
+  txn_budget_ =
+      std::min(MiniFsConfig::kMaxTxnBlocks, backend_.max_txn_blocks());
   TINCA_EXPECT(txn_budget_ >= 64, "transaction budget too small for MiniFs");
 }
 

@@ -38,7 +38,7 @@ struct MiniFsConfig {
   std::uint64_t group_commit_ops = 64;
   /// Hard cap on blocks per compound transaction (also bounded by the
   /// backend's own limit).
-  std::uint64_t max_txn_blocks = 2048;
+  static constexpr std::uint64_t kMaxTxnBlocks = 2048;
 };
 
 /// Counters for one mounted file system.

@@ -445,7 +445,7 @@ NvLogTier::DrainResult NvLogTier::drain_segment(std::uint64_t seq,
   const std::uint32_t shards = sink.drain_shard_count();
   const std::uint64_t apply_t0 = nvm_.clock().now();
   std::uint64_t modeled_apply_ns = 0;
-  if (!batch.empty() && !cfg_.sabotage_skip_drain_apply) {
+  if (!batch.empty()) {
     if (shards <= 1) {
       sink.drain_apply(batch);
     } else {

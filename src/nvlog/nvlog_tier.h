@@ -84,11 +84,6 @@ struct NvLogConfig {
   /// Oracle self-test only (fuzz harness): commit() returns WITHOUT its
   /// clflush + sfence.  The recovery oracle must catch the lost txns.
   bool sabotage_skip_commit_flush = false;
-  /// Oracle self-test only: drain marks segments clean WITHOUT applying
-  /// their records to the backing store (the log-tier analogue of the
-  /// cleaner's sabotage_skip_write).  Stale backing-store data then leaks
-  /// into reads and the oracle must flag it.
-  bool sabotage_skip_drain_apply = false;
   /// Oracle self-test only: watermark records are stored but never
   /// flushed.  A crash then mounts a stale watermark whose oldest_live_seq
   /// may name a segment that was recycled AND re-acquired — the chain scan

@@ -33,6 +33,22 @@ NvmDevice::NvmDevice(NvmDevice& parent, std::uint64_t base, std::size_t bytes,
                "view size must be a positive multiple of the line size");
   TINCA_EXPECT(base % kLineSize == 0, "view base must be line-aligned");
   TINCA_EXPECT(base + bytes <= parent.span_, "view exceeds parent range");
+  std::lock_guard<std::mutex> lock(root_->views_mu_);
+  root_->views_.push_back(this);
+}
+
+NvmDevice::~NvmDevice() {
+  if (!is_view()) return;
+  std::lock_guard<std::mutex> lock(root_->views_mu_);
+  std::erase(root_->views_, this);
+  root_->dead_views_ = root_->dead_views_ + stats_;
+}
+
+NvmStats NvmDevice::total_stats() const {
+  std::lock_guard<std::mutex> lock(root_->views_mu_);
+  NvmStats sum = root_->stats_ + root_->dead_views_;
+  for (const NvmDevice* v : root_->views_) sum = sum + v->stats_;
+  return sum;
 }
 
 void NvmDevice::mark_dirty(std::size_t first, std::size_t last) {

@@ -24,7 +24,9 @@
 // different threads concurrently; that is what the sharded front-end
 // (src/shard/) builds on.  The only cross-view shared mutable state is the
 // dirty-line count (atomic) and the per-line dirty bits / wear counters,
-// which disjoint views never alias.
+// which disjoint views never alias.  The root also keeps a list of its live
+// views, so `total_stats()` can report the whole stack's operations however
+// it was carved up.
 //
 // The semantics above are per line; the bookkeeping is per call.  `store()`
 // sets its lines' dirty bits with one update of the shared dirty count, and
@@ -41,6 +43,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -109,6 +112,9 @@ class NvmDevice {
   /// its own operation counters.  `base` and `bytes` must be line-aligned.
   NvmDevice(NvmDevice& parent, std::uint64_t base, std::size_t bytes,
             sim::SimClock& clock);
+
+  /// A view folds its counters into the root's total_stats() as it goes.
+  ~NvmDevice();
 
   NvmDevice(const NvmDevice&) = delete;
   NvmDevice& operator=(const NvmDevice&) = delete;
@@ -192,6 +198,11 @@ class NvmDevice {
   /// Operation counters of this device/view.
   [[nodiscard]] const NvmStats& stats() const { return stats_; }
 
+  /// Operation counters of the whole root device: its own plus those of
+  /// every view opened on it, live or destroyed.  Reads other views'
+  /// counters unsynchronized — call it while no view is being driven.
+  [[nodiscard]] NvmStats total_stats() const;
+
   /// Technology profile in force.
   [[nodiscard]] const NvmProfile& profile() const { return profile_; }
 
@@ -218,6 +229,11 @@ class NvmDevice {
   std::vector<std::uint32_t> line_writes_;  ///< media writes per line (root)
   std::atomic<std::size_t> dirty_count_ = 0;
   NvmStats stats_;
+  /// Root only: views opened on this device, and the counters of the ones
+  /// already destroyed.
+  mutable std::mutex views_mu_;
+  std::vector<const NvmDevice*> views_;
+  NvmStats dead_views_;
 };
 
 }  // namespace tinca::nvm

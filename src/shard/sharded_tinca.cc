@@ -54,9 +54,7 @@ ShardedTinca::ShardedTinca(nvm::NvmDevice& nvm, blockdev::BlockDevice& disk,
   if (cfg_.shard.cleaner.mode != cleaner::CleanerMode::kDisabled &&
       cfg_.shard.cleaner.pacer == nullptr) {
     cfg_.shard.cleaner.pacer = std::make_shared<cleaner::Pacer>(
-        static_cast<std::int64_t>(cfg_.shard.cleaner.max_batch_blocks));
-    cfg_.shard.cleaner.pacer_grant_per_step =
-        std::max(1u, cfg_.shard.cleaner.max_batch_blocks / cfg.num_shards);
+        cleaner::kMaxBatchBlocks, cfg.num_shards);
   }
 
   shards_.reserve(cfg.num_shards);

@@ -341,12 +341,14 @@ class ShardedTinca {
     /// Declared before `cache`: the cache's cleaner thread locks this mutex,
     /// so it must outlive the cache during destruction.
     mutable std::mutex mu;
-    std::unique_ptr<core::TincaCache> cache;
+    /// On a cache line of its own: every lock-free read loads it, and the
+    /// mutexes on either side are written by every commit.
+    alignas(core::kCacheLineBytes) std::unique_ptr<core::TincaCache> cache;
     /// Group-commit batcher (DESIGN.md §14).  `bmu` guards the queue and
     /// the leader flag; waiters sleep on `bcv` until the leader marks them
     /// done.  Never held while `mu` is being acquired with waiters blocked —
     /// the leader drops it around every cache call.
-    std::mutex bmu;
+    alignas(core::kCacheLineBytes) std::mutex bmu;
     std::condition_variable bcv;
     std::deque<GroupWaiter*> queue;
     bool leader_active = false;
@@ -409,7 +411,10 @@ class ShardedTinca {
   std::unique_ptr<sim::SimClock> dir_clock_;
   std::unique_ptr<nvm::NvmDevice> dir_view_;
   std::uint64_t dir_epoch_ = 0;  ///< shard 0's format epoch (record salt)
-  mutable std::mutex dir_mu_;    ///< guards the slot table + id counter
+  /// Guards the slot table + id counter.  Every cross-shard commit takes
+  /// it, so it starts a cache line apart from `shards_`, which every
+  /// lock-free read loads.
+  alignas(core::kCacheLineBytes) mutable std::mutex dir_mu_;
   std::uint32_t next_commit_id_ = 1;
   /// What blocks a slot's reuse: recovery stops scanning an anchored batch
   /// only once its stream's durable hint passed the batch's end.

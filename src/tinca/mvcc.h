@@ -45,6 +45,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -52,14 +53,22 @@
 
 namespace tinca::core {
 
+/// Cache-line size the reader-shared state below is laid out by.
+inline constexpr std::size_t kCacheLineBytes = 64;
+
 /// Aggregated MVCC counters.  Readers bump these without the shard lock, so
 /// everything is a relaxed atomic; register_metrics exports them as gauges.
+/// The reader-side and writer-side counters sit on separate cache lines, so
+/// readers counting their hits never steal the line the commit path bumps.
 struct MvccStats {
-  std::atomic<std::uint64_t> snapshot_reads{0};     ///< resolved via a chain
+  // Reader side.
+  /// Resolved via a chain.
+  alignas(kCacheLineBytes) std::atomic<std::uint64_t> snapshot_reads{0};
   std::atomic<std::uint64_t> disk_fallbacks{0};     ///< no version <= pin
   std::atomic<std::uint64_t> lock_fallbacks{0};     ///< pin registry full
   std::atomic<std::uint64_t> pin_retries{0};        ///< epoch moved mid-pin
-  std::atomic<std::uint64_t> versions_published{0};
+  // Writer side.
+  alignas(kCacheLineBytes) std::atomic<std::uint64_t> versions_published{0};
   std::atomic<std::uint64_t> versions_trimmed{0};
   std::atomic<std::uint64_t> nodes_retired{0};      ///< chains of evicted blocks
   std::atomic<std::uint64_t> nodes_freed{0};
@@ -502,11 +511,16 @@ class MvccTable {
     delete node;
   }
 
-  std::vector<std::atomic<BlockNode*>> buckets_;
+  // Cache-line groups, fixed whatever the table's neighbours are: what every
+  // reader loads (bucket array, mask, epoch — the writer stores only the
+  // epoch, once per commit), the pin slots readers store to, and the
+  // writer-only reclamation state.
+  alignas(kCacheLineBytes) std::vector<std::atomic<BlockNode*>> buckets_;
   std::uint64_t mask_ = 0;
   std::atomic<std::uint64_t> epoch_{1};
-  std::atomic<std::uint64_t> pins_[kPinSlots]{};
-  std::vector<BlockNode*> multi_nodes_;  ///< nodes with >= 2 versions
+  alignas(kCacheLineBytes) std::atomic<std::uint64_t> pins_[kPinSlots]{};
+  /// Nodes with >= 2 versions.
+  alignas(kCacheLineBytes) std::vector<BlockNode*> multi_nodes_;
   std::vector<Retired> retired_;
   std::uint64_t live_versions_ = 0;
 };

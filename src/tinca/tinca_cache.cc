@@ -5,6 +5,7 @@
 
 #include "common/bytes.h"
 #include "common/expect.h"
+#include "common/latency.h"
 #include "obs/metrics.h"
 #include "tinca/commit_directory.h"
 
@@ -773,7 +774,7 @@ void TincaCache::tinca_abort(Transaction& txn) {
 void TincaCache::stage_block_install(std::uint64_t disk_blkno,
                                      std::span<const std::byte> data) {
   nvm_.injector.point();  // CP: before this block touches NVM
-  nvm_.clock().advance(cfg_.cpu_op_ns);
+  nvm_.clock().advance(kCpuOpNs);
 
   // Reserve exactly what each path consumes.  A COW hit takes one free NVM
   // block but *no* entry slot; a miss takes one of each.  Making the target
@@ -1086,7 +1087,7 @@ void TincaCache::batch_publish() {
 void TincaCache::read_block(std::uint64_t disk_blkno, std::span<std::byte> dst) {
   TINCA_TRACE_SPAN(trace_, ts_read_);
   TINCA_EXPECT(dst.size() == kBlockSize, "reads are whole 4 KB blocks");
-  nvm_.clock().advance(cfg_.cpu_op_ns);
+  nvm_.clock().advance(kCpuOpNs);
   auto it = index_.find(disk_blkno);
   if (it != index_.end()) {
     const std::uint32_t slot = it->second;

@@ -76,8 +76,6 @@ struct TincaConfig {
   /// by default: the paper's prototype allocates LIFO, and rotation trades
   /// a little DRAM locality for media lifetime.
   bool wear_level = false;
-  /// Modelled software overhead per cache operation (lookup, bookkeeping).
-  std::uint64_t cpu_op_ns = 150;
   /// Chrome-trace thread-track id for this instance's trace spans (the
   /// sharded front-end assigns each shard its own track).
   int trace_tid = 0;

@@ -5,6 +5,7 @@
 
 #include "common/bytes.h"
 #include "common/expect.h"
+#include "common/latency.h"
 #include "obs/metrics.h"
 
 namespace tinca::ubj {
@@ -241,7 +242,7 @@ void UbjStore::checkpoint_batch() {
   TINCA_TRACE_SPAN(trace_, ts_checkpoint_);
   TINCA_EXPECT(!unchkpt_.empty(), "checkpoint with nothing outstanding");
   for (std::uint32_t i = 0;
-       i < cfg_.checkpoint_txn_batch && !unchkpt_.empty(); ++i)
+       i < UbjConfig::kCheckpointTxnBatch && !unchkpt_.empty(); ++i)
     checkpoint_front(&stats_.io_retries);
 }
 
@@ -288,7 +289,7 @@ void UbjStore::commit_txn(
                "transaction exceeds UBJ's committable size");
   // Space pressure: checkpoint old transactions before taking new blocks.
   const auto low_water = static_cast<std::uint64_t>(
-      cfg_.checkpoint_low_water * static_cast<double>(num_blocks_));
+      UbjConfig::kCheckpointLowWater * static_cast<double>(num_blocks_));
   while (free_.count() < blocks.size() + low_water && !unchkpt_.empty()) {
     // Prefer the cleaner's drain (it pops the same front records, so every
     // iteration still consumes at least one outstanding transaction).
@@ -302,7 +303,7 @@ void UbjStore::commit_txn(
 
   for (const auto& [blkno, data] : blocks) {
     TINCA_EXPECT(data.size() == kBlockSize, "UBJ commits whole 4 KB blocks");
-    nvm_.clock().advance(cfg_.cpu_op_ns);
+    nvm_.clock().advance(kCpuOpNs);
     nvm_.injector.point();  // CP: before this block
     std::uint32_t slot;
     auto it = latest_.find(blkno);
@@ -371,7 +372,7 @@ void UbjStore::commit_txn(
 
 void UbjStore::read_block(std::uint64_t disk_blkno, std::span<std::byte> dst) {
   TINCA_EXPECT(dst.size() == kBlockSize, "reads are whole 4 KB blocks");
-  nvm_.clock().advance(cfg_.cpu_op_ns);
+  nvm_.clock().advance(kCpuOpNs);
   auto it = latest_.find(disk_blkno);
   if (it != latest_.end()) {
     ++stats_.read_hits;

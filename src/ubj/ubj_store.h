@@ -43,11 +43,9 @@ namespace tinca::ubj {
 /// UBJ tunables.
 struct UbjConfig {
   /// Checkpoint when the free fraction of NVM blocks drops below this.
-  double checkpoint_low_water = 0.15;
+  static constexpr double kCheckpointLowWater = 0.15;
   /// Committed transactions checkpointed per trigger (batch size).
-  std::uint32_t checkpoint_txn_batch = 8;
-  /// Modelled software overhead per operation.
-  std::uint64_t cpu_op_ns = 150;
+  static constexpr std::uint32_t kCheckpointTxnBatch = 8;
   /// Retry/backoff policy for disk I/O (DESIGN.md §9).
   blockdev::RetryPolicy io{};
   /// Background cleaner (DESIGN.md §11).  Keys are transaction sequence

@@ -14,21 +14,21 @@ FilebenchWorkload::FilebenchWorkload(fs::MiniFs& fsys,
       rng_(cfg.seed),
       zipf_(cfg.nfiles, cfg.zipf_theta),
       alive_(cfg.nfiles, 0),
-      iobuf_(cfg.request_bytes) {
+      iobuf_(FilebenchConfig::kRequestBytes) {
   TINCA_EXPECT(cfg.nfiles > 0, "empty file set");
-  TINCA_EXPECT(cfg.request_bytes % 1024 == 0, "request size not KB aligned");
 }
 
 std::string FilebenchWorkload::path_of(std::uint64_t file_id) const {
-  return "/d" + std::to_string(file_id / cfg_.files_per_dir) + "/f" +
-         std::to_string(file_id);
+  return "/d" + std::to_string(file_id / FilebenchConfig::kFilesPerDir) +
+         "/f" + std::to_string(file_id);
 }
 
 std::uint64_t FilebenchWorkload::pick_file() { return zipf_.draw(rng_); }
 
 void FilebenchWorkload::populate() {
   const std::uint64_t ndirs =
-      (cfg_.nfiles + cfg_.files_per_dir - 1) / cfg_.files_per_dir;
+      (cfg_.nfiles + FilebenchConfig::kFilesPerDir - 1) /
+      FilebenchConfig::kFilesPerDir;
   for (std::uint64_t d = 0; d < ndirs; ++d)
     fsys_.mkdir("/d" + std::to_string(d));
   for (std::uint64_t f = 0; f < cfg_.nfiles; ++f) op_create(f);
@@ -45,7 +45,8 @@ void FilebenchWorkload::op_create(std::uint64_t id) {
       rng_.below(cfg_.mean_file_bytes * 3 / 2 + 1);
   std::uint64_t off = 0;
   while (off < size) {
-    const std::uint64_t chunk = std::min<std::uint64_t>(cfg_.request_bytes, size - off);
+    const std::uint64_t chunk =
+        std::min<std::uint64_t>(FilebenchConfig::kRequestBytes, size - off);
     fill_pattern(std::span(iobuf_).subspan(0, chunk), id * 131 + payload_seq_++);
     fsys_.write(path, off, std::span(iobuf_).subspan(0, chunk));
     off += chunk;
@@ -82,7 +83,8 @@ void FilebenchWorkload::op_append(std::uint64_t id, bool with_fsync) {
   const std::string path = path_of(id);
   // Keep appends within MiniFs's file-size ceiling by rewriting instead of
   // growing without bound.
-  if (fsys_.file_size(path) + cfg_.request_bytes > fsys_.max_file_bytes()) {
+  if (fsys_.file_size(path) + FilebenchConfig::kRequestBytes >
+      fsys_.max_file_bytes()) {
     op_delete(id);
     op_create(id);
     return;

@@ -31,9 +31,9 @@ struct FilebenchConfig {
   /// Mean file size in bytes (files are created at 25 %–175 % of this).
   std::uint64_t mean_file_bytes = 64 * 1024;
   /// I/O request size (Table 2: 16 KB).
-  std::uint64_t request_bytes = 16 * 1024;
+  static constexpr std::uint64_t kRequestBytes = 16 * 1024;
   /// Directory fan-out.
-  std::uint64_t files_per_dir = 64;
+  static constexpr std::uint64_t kFilesPerDir = 64;
   /// Zipf skew of file popularity.
   double zipf_theta = 0.6;
   /// RNG seed.

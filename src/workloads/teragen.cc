@@ -14,7 +14,7 @@ TeraGenSink::TeraGenSink(backend::TxnBackend& backend, std::uint64_t base_blkno,
       cfg_(cfg),
       base_blkno_(base_blkno),
       limit_blocks_(limit_blocks),
-      packet_(cfg.rows_per_packet * cfg.row_bytes),
+      packet_(TeraGenConfig::kRowsPerPacket * TeraGenConfig::kRowBytes),
       rng_(cfg.seed) {
   TINCA_EXPECT(limit_blocks_ >= 16, "TeraGen sink range too small");
   TINCA_EXPECT(base_blkno_ + limit_blocks_ <= backend.data_block_limit(),
@@ -46,12 +46,13 @@ void TeraGenSink::generate(std::uint64_t bytes) {
   while (produced < bytes) {
     // One 100 B row: 10 B pseudo-random key + filler value, like TeraGen.
     std::byte* row = packet_.data() + packet_fill_;
-    fill_pattern(std::span(row, cfg_.row_bytes), rng_.next());
-    packet_fill_ += cfg_.row_bytes;
-    produced += cfg_.row_bytes;
-    bytes_ += cfg_.row_bytes;
+    fill_pattern(std::span(row, TeraGenConfig::kRowBytes), rng_.next());
+    packet_fill_ += TeraGenConfig::kRowBytes;
+    produced += TeraGenConfig::kRowBytes;
+    bytes_ += TeraGenConfig::kRowBytes;
     ++rows_;
-    if (packet_fill_ + cfg_.row_bytes > packet_.size()) flush_packet();
+    if (packet_fill_ + TeraGenConfig::kRowBytes > packet_.size())
+      flush_packet();
   }
   flush_packet();
 }

@@ -19,9 +19,9 @@ namespace tinca::workloads {
 /// TeraGen parameters.
 struct TeraGenConfig {
   /// Bytes of one row (TeraGen: 10 B key + 90 B value).
-  std::uint64_t row_bytes = 100;
+  static constexpr std::uint64_t kRowBytes = 100;
   /// Rows per buffered packet before the sink flushes a batch.
-  std::uint64_t rows_per_packet = 640;  ///< 64 KB packets
+  static constexpr std::uint64_t kRowsPerPacket = 640;  ///< 64 KB packets
   /// RNG seed for the row contents.
   std::uint64_t seed = 1;
 };

@@ -141,5 +141,47 @@ TEST(StackBuilder, TincaWritesCostFewerFlushesThanClassic) {
   EXPECT_LT(tinca.disk_blocks_written(), classic.disk_blocks_written());
 }
 
+TEST(StackBuilder, ClflushCountCoversEveryStackKind) {
+  // Sharded and NvLog stacks run on sub-range views of the root NVM device
+  // (shards, commit directory, log and store), each with its own counters;
+  // clflush_count() must add them all up, and stay the root's own count on
+  // the stacks that use the root directly.
+  for (const StackKind kind :
+       {StackKind::kTinca, StackKind::kClassic, StackKind::kClassicNoJournal,
+        StackKind::kUbj, StackKind::kShardedTinca, StackKind::kNvLogClassic,
+        StackKind::kNvLogTinca, StackKind::kNvLogSharded}) {
+    StackConfig cfg = small_config(kind);
+    cfg.nvlog_stacked.log_bytes = 1 << 20;
+    Stack stack(cfg);
+    SCOPED_TRACE(stack.name());
+    auto& be = stack.backend();
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      be.begin();
+      be.stage(i, block_of(i));
+      be.commit();
+    }
+    EXPECT_GT(stack.clflush_count(), 0u);
+    switch (kind) {
+      case StackKind::kTinca:
+      case StackKind::kClassic:
+      case StackKind::kClassicNoJournal:
+      case StackKind::kUbj:
+        EXPECT_EQ(stack.clflush_count(), stack.nvm().stats().clflush);
+        break;
+      case StackKind::kShardedTinca: {
+        shard::ShardedTinca& st = static_cast<ShardedBackend&>(be).sharded();
+        std::uint64_t shard_sum = 0;
+        for (std::uint32_t s = 0; s < st.shard_count(); ++s)
+          shard_sum += st.shard_nvm(s).stats().clflush;
+        EXPECT_GT(shard_sum, 0u);
+        EXPECT_GE(stack.clflush_count(), shard_sum);
+        break;
+      }
+      default:
+        break;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tinca::backend

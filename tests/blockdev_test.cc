@@ -182,7 +182,7 @@ TEST(FaultyBlockDevice, ScriptedTearLeavesHalfOldHalfNewAndCrashes) {
 TEST(FaultyBlockDevice, InjectorTornPointTearsDiskWrites) {
   MemBlockDevice mem(64);
   nvm::CrashInjector inj;
-  FaultyBlockDevice dev(mem, {}, nullptr, &inj);
+  FaultyBlockDevice dev(mem, {}, &inj);
   const auto data = block_with(4);
   ASSERT_EQ(dev.write(0, data), IoStatus::kOk);
   inj.arm_torn(2);

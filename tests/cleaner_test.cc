@@ -98,11 +98,11 @@ TEST(Cleaner, BelowHighWaterOnlyExplicitKeysTrickle) {
   EXPECT_EQ(f.cache->dirty_blocks(), dirty_before);
   EXPECT_EQ(f.cache->cleaner()->stats().retired, 0u);
 
-  // Explicitly enqueued keys trickle out at trickle_per_step per quantum.
+  // Explicitly enqueued keys trickle out at kTricklePerStep per quantum.
   for (std::uint64_t i = 0; i < 8; ++i)
     EXPECT_TRUE(f.cache->cleaner()->try_enqueue(i));
   f.cache->cleaner_step();
-  EXPECT_EQ(f.cache->cleaner()->stats().retired, f.cfg.cleaner.trickle_per_step);
+  EXPECT_EQ(f.cache->cleaner()->stats().retired, cleaner::kTricklePerStep);
   while (f.cache->cleaner()->queue_depth() > 0) f.cache->cleaner_step();
   EXPECT_EQ(f.cache->dirty_blocks(), dirty_before - 8);
 }
@@ -115,7 +115,7 @@ TEST(Cleaner, ContiguousKeysCoalesceIntoRuns) {
   const cleaner::CleanerStats& s = f.cache->cleaner()->stats();
   EXPECT_EQ(s.retired, 12u);
   EXPECT_GT(s.coalesced_blocks, 0u);
-  // 12 contiguous keys in trickle batches of trickle_per_step: every batch
+  // 12 contiguous keys in trickle batches of kTricklePerStep: every batch
   // is one ascending run, so runs == steps that drained, far below 12.
   EXPECT_LT(s.batches, 12u);
 }
@@ -219,7 +219,7 @@ TEST(Cleaner, BadSectorFailuresBackOffThenQuarantine) {
   sim::SimClock clock;
   nvm::NvmDevice dev{kNvmBytes, pcm_profile(), clock};
   blockdev::MemBlockDevice mem{1 << 16};
-  blockdev::FaultyBlockDevice disk(mem, blockdev::FaultConfig{}, &clock,
+  blockdev::FaultyBlockDevice disk(mem, blockdev::FaultConfig{},
                                    &dev.injector);
   TincaConfig cfg;
   cfg.ring_bytes = 8192;
@@ -235,8 +235,7 @@ TEST(Cleaner, BadSectorFailuresBackOffThenQuarantine) {
   cache->cleaner()->try_enqueue(9);
 
   // Enough steps to cover several backoff rounds.
-  const std::uint32_t rounds =
-      3 * (cfg.cleaner.retry_backoff_steps + 1);
+  const std::uint32_t rounds = 3 * (cleaner::kRetryBackoffSteps + 1);
   for (std::uint32_t i = 0; i < rounds; ++i) cache->cleaner_step();
 
   const cleaner::CleanerStats& s = cache->cleaner()->stats();
@@ -270,7 +269,6 @@ TEST(Cleaner, PacerThrottlesStepDrains) {
   // retirement per step no matter how full the queue is.
   f.cache.reset();
   f.cfg.cleaner.pacer = std::make_shared<cleaner::Pacer>(1);
-  f.cfg.cleaner.pacer_grant_per_step = 1;
   f.cache = TincaCache::format(f.dev, f.disk, f.cfg);
   f.fill_dirty(6);
   for (std::uint64_t i = 0; i < 6; ++i) f.cache->cleaner()->try_enqueue(i);
@@ -390,7 +388,7 @@ TEST(Cleaner, QueueDepthGaugeIsExactAcrossFailureRequeues) {
   sim::SimClock clock;
   nvm::NvmDevice dev{kNvmBytes, pcm_profile(), clock};
   blockdev::MemBlockDevice mem{1 << 16};
-  blockdev::FaultyBlockDevice disk(mem, blockdev::FaultConfig{}, &clock,
+  blockdev::FaultyBlockDevice disk(mem, blockdev::FaultConfig{},
                                    &dev.injector);
   TincaConfig cfg;
   cfg.ring_bytes = 8192;
@@ -423,7 +421,7 @@ TEST(Cleaner, QueueDepthGaugeIsExactAcrossFailureRequeues) {
   EXPECT_EQ(cl.stats().drain_lag.count(), 0u);
 
   // Through the whole backoff window the gauge stays pinned at 1.
-  for (std::uint32_t i = 0; i < cfg.cleaner.retry_backoff_steps - 1; ++i) {
+  for (std::uint32_t i = 0; i < cleaner::kRetryBackoffSteps - 1; ++i) {
     cache->cleaner_step();
     ASSERT_EQ(cl.queue_depth(), 1u) << "step " << i;
   }
@@ -485,7 +483,7 @@ TEST(Cleaner, FullyQuarantinedCacheRecoversEvictionAfterHeal) {
   sim::SimClock clock;
   nvm::NvmDevice dev{kNvmBytes, pcm_profile(), clock};
   blockdev::MemBlockDevice mem{1 << 16};
-  blockdev::FaultyBlockDevice disk(mem, blockdev::FaultConfig{}, &clock,
+  blockdev::FaultyBlockDevice disk(mem, blockdev::FaultConfig{},
                                    &dev.injector);
   TincaConfig cfg;
   cfg.ring_bytes = 8192;

@@ -182,7 +182,7 @@ TEST(MultiStreamCache, RoundRobinUsesEveryStream) {
   sim::SimClock clock;
   nvm::NvmDevice nvm(1 << 20, nvdimm_profile(), clock);
   blockdev::MemBlockDevice mem(1 << 12);
-  blockdev::FaultyBlockDevice disk(mem, {}, &clock, &nvm.injector);
+  blockdev::FaultyBlockDevice disk(mem, {}, &nvm.injector);
 
   TincaConfig cfg;
   cfg.ring_bytes = 64 * 1024;

@@ -269,6 +269,46 @@ TEST(NvLogStacked, RoundtripThroughBothInners) {
   }
 }
 
+TEST(NvLogStacked, CleanerSabotageSkipsTheDrainApplyOnBothPaths) {
+  // The oracle self-test knob lives in the sink: with the log cleaner's
+  // sabotage_skip_write set (and the inner config clean), a drain retires
+  // its segments without applying them, so the inner store keeps its old
+  // blocks.  The Classic inner drains through drain_apply, the sharded one
+  // through drain_apply_shards; the control run proves the same history
+  // does reach the inner when the knob is off.
+  for (const backend::NvLogInner inner :
+       {backend::NvLogInner::kClassic, backend::NvLogInner::kSharded}) {
+    for (const bool sabotage : {true, false}) {
+      SCOPED_TRACE(sabotage ? "sabotaged" : "control");
+      sim::SimClock clock;
+      nvm::NvmDevice nvm(nvm_bytes(inner), nvdimm_profile(), clock);
+      blockdev::MemBlockDevice disk(1 << 12);
+      backend::NvLogStackedConfig cfg = stacked_cfg(inner);
+      cfg.cleaner.sabotage_skip_write = sabotage;
+      auto be = backend::NvLogStackedBackend::format(nvm, disk, cfg);
+
+      for (std::uint64_t t = 0; t < 8; ++t) {
+        be->begin();
+        for (std::uint64_t b = 0; b < 4; ++b)
+          be->stage(t * 4 + b, block_of(t * 4 + b + 1));
+        be->commit();
+      }
+      be->flush();
+      EXPECT_EQ(be->tier().live_records(), 0u);
+      EXPECT_EQ(be->tier().stats().partitioned_drains > 0,
+                inner == backend::NvLogInner::kSharded);
+
+      std::vector<std::byte> buf(kBlock);
+      for (std::uint64_t b = 0; b < 32; ++b) {
+        be->inner().read_block(b, buf);
+        EXPECT_EQ(buf, sabotage ? std::vector<std::byte>(kBlock)
+                                : block_of(b + 1))
+            << be->name() << " block " << b;
+      }
+    }
+  }
+}
+
 TEST(NvLogStacked, ShardedDrainsArePartitionedAndParallelismShortensThem) {
   // Same workload twice over the sharded inner: modeled-parallel drains
   // must record shorter apply times than sequential ones (max over shards

@@ -245,7 +245,7 @@ TEST(RingBuffer, WrapAroundSurvivesDiskErrorsMidAppendStream) {
   sim::SimClock clock;
   nvm::NvmDevice nvm(kNvm, nvdimm_profile(), clock);
   blockdev::MemBlockDevice mem(1 << 12);
-  blockdev::FaultyBlockDevice disk(mem, {}, &clock, &nvm.injector);
+  blockdev::FaultyBlockDevice disk(mem, {}, &nvm.injector);
 
   // No cleaner: evictions write dirty victims back inside the commit loop,
   // so the transients below land on foreground write-backs.
