@@ -222,8 +222,8 @@ echo "fuzz verdicts: OK (both sweeps equal their pinned golden files)"
 # nonzero unless grouped commit throughput at 8 streams is >= 2x single,
 # fences/txn < 0.25, 1-stream p95 does not regress, and the DES p95 at 100k
 # users improves — so this line gates "batching actually amortizes the flush
-# pass + fence".  Its threaded batcher row is wall-clock, so this JSON is
-# schema-checked only, never pinned.
+# pass + fence".  Its threaded batcher row runs on real threads; the other
+# rows are virtual time and pinned below.
 "$BENCH_DIR/bench/bench_group_commit" \
   --json "$JSON_OUT/group_commit.json" > /dev/null
 
@@ -247,8 +247,24 @@ cmp "$JSON_OUT/cleaner.json" BENCH_cleaner.json
 cmp "$JSON_OUT/mvcc.json" BENCH_mvcc.json
 cmp "$JSON_OUT/nvlog.json" BENCH_nvlog.json
 cmp "$JSON_OUT/multistream.json" BENCH_multistream.json
-echo "pinned benches: OK (cleaner, mvcc, nvlog and multistream equal their" \
-  "golden files)"
+# Group commit is pinned the same way except for its one threaded row
+# (batcher/threads=8, wall-clock batching): drop the batcher/* rows from
+# both files and compare the rest.
+python3 - "$JSON_OUT/group_commit.json" BENCH_group_commit.json \
+  "$JSON_OUT" <<'EOF'
+import json, sys
+
+for src, name in ((sys.argv[1], "fresh"), (sys.argv[2], "golden")):
+    with open(src) as f:
+        doc = json.load(f)
+    doc["rows"] = [row for row in doc["rows"]
+                   if not row["label"].startswith("batcher/")]
+    with open(f"{sys.argv[3]}/group_commit.{name}.json", "w") as f:
+        json.dump(doc, f, indent=2)
+EOF
+cmp "$JSON_OUT/group_commit.fresh.json" "$JSON_OUT/group_commit.golden.json"
+echo "pinned benches: OK (cleaner, mvcc, nvlog, multistream and group commit" \
+  "equal their golden files)"
 
 # Oracle self-test: a sabotaged run (harness corrupts a committed data block
 # behind the backend's back) must FAIL, proving the oracle has teeth.

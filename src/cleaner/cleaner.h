@@ -176,8 +176,11 @@ struct CleanerConfig {
 /// Cleaner counters (registered under "<layer>.cleaner.").
 struct CleanerStats {
   std::uint64_t enqueued = 0;            ///< keys accepted by try_enqueue
-  std::uint64_t dup_skips = 0;           ///< try_enqueue hits on pending keys
-  std::uint64_t queue_rejects = 0;       ///< try_enqueue on a full queue
+  /// try_enqueue hits on pending keys and on a full queue.  Tinca's eviction
+  /// offers only unqueued keys and stops at the first bounce (DESIGN.md
+  /// §11), so its re-offers of the same dirty tail no longer count here.
+  std::uint64_t dup_skips = 0;
+  std::uint64_t queue_rejects = 0;
   std::uint64_t retired = 0;             ///< keys made durable + clean
   std::uint64_t stale_drops = 0;         ///< keys stale by clean time
   std::uint64_t pinned_requeues = 0;     ///< mid-commit keys requeued
@@ -239,6 +242,16 @@ class Cleaner {
 
   [[nodiscard]] std::size_t queue_depth() const {
     return queue_.size() + retry_.size();
+  }
+
+  /// Pending keys in drain order: the queue, then the failure-retry list
+  /// (tests compare replacement paths by it).
+  [[nodiscard]] std::vector<std::uint64_t> pending_keys() const {
+    std::vector<std::uint64_t> keys;
+    keys.reserve(queue_depth());
+    for (const Item& item : queue_) keys.push_back(item.key);
+    for (const Item& item : retry_) keys.push_back(item.key);
+    return keys;
   }
   [[nodiscard]] const CleanerConfig& config() const { return cfg_; }
   [[nodiscard]] const CleanerStats& stats() const { return stats_; }

@@ -31,6 +31,29 @@
 // need), or the reader's re-load sees a newer epoch and retries with it.  A
 // full registry fails the pin; callers fall back to the locked read path.
 //
+// Registry high-water mark.  Readers claim the lowest free slot, so only a
+// prefix of the registry is ever used.  A reader raises `pin_hwm_` past its
+// slot (a seq_cst CAS, skipped when the mark is already past it) right after
+// claiming the slot and before the epoch handshake, and the writer's scans
+// read the mark, after the epoch, and look at the slots below it only.  A
+// reader whose slot lies at or above the mark the scan read raised it later
+// in the single total order S of seq_cst operations, so its epoch loads come
+// after the scan's epoch load too, and it pins an epoch >= the scan's
+// floor: exactly the case the handshake already covers.
+//
+// Unlink before scan.  Freeing an unlinked node relies on the store-then-
+// load pattern: the writer unlinks (a store to a bucket or `next` pointer),
+// then scans the registry; the reader claims a slot, then loads the bucket
+// chain.  Both unlink stores are seq_cst, so each precedes the scan in S.
+// (A release store would not do: on x86 it can sit in the store buffer
+// while the scan's loads run, so the scan could miss a reader that has
+// already loaded the old pointer — the store-buffering litmus test.)  A
+// reader the scan misses thus claimed its slot after the unlink in S, and
+// its claim is a seq_cst read-modify-write, a full barrier on every target
+// we build for (x86 lock cmpxchg; AArch64 ldaxr/stlxr before ldar loads), so
+// its traversal sees the unlinked chain.  No std::atomic_thread_fence: GCC
+// rejects it under -fsanitize=thread with -Werror.
+//
 // Reclamation (single writer, piggybacked on the cleaner quantum and on
 // commits) trims a chain suffix v_i, v_{i-1}, ... when min_pin >= e_{i+1}:
 // every live pin then stops its walk at v_{i+1} or newer and never loads the
@@ -73,6 +96,7 @@ struct MvccStats {
   std::atomic<std::uint64_t> nodes_retired{0};      ///< chains of evicted blocks
   std::atomic<std::uint64_t> nodes_freed{0};
   std::atomic<std::uint64_t> recovery_seeded{0};    ///< chains rebuilt at mount
+  std::atomic<std::uint64_t> pin_slots_scanned{0};  ///< by registry scans
 };
 
 /// One committed version of one disk block.  Immutable after publication
@@ -148,7 +172,13 @@ class MvccTable {
       if (!pins_[s].compare_exchange_strong(expect, kClaiming,
                                             std::memory_order_seq_cst))
         continue;
-      // Slot claimed; now run the epoch handshake (see file comment).
+      // Slot claimed: raise the high-water mark past it, then run the epoch
+      // handshake (see file comment).
+      std::uint32_t mark = pin_hwm_.load(std::memory_order_seq_cst);
+      while (mark <= s &&
+             !pin_hwm_.compare_exchange_weak(mark, s + 1,
+                                             std::memory_order_seq_cst)) {
+      }
       std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
       for (;;) {
         pins_[s].store(e, std::memory_order_seq_cst);
@@ -257,7 +287,7 @@ class MvccTable {
       multi_nodes_.erase(
           std::find(multi_nodes_.begin(), multi_nodes_.end(), node));
     }
-    retired_.push_back(Retired{node, /*unlinked=*/false, /*unlink_epoch=*/0});
+    retired_.push_back(Retired{node});
     stats.nodes_retired.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -303,28 +333,21 @@ class MvccTable {
 
   /// Minimum pinned epoch across the registry, or `epoch()` when no reader
   /// is pinned (the floor keeps reclamation monotone and never infinite).
-  [[nodiscard]] std::uint64_t min_pin() const {
-    std::uint64_t m = epoch_.load(std::memory_order_seq_cst);
-    for (std::uint32_t s = 0; s < kPinSlots; ++s) {
-      const std::uint64_t p = pins_[s].load(std::memory_order_seq_cst);
-      if (p != 0 && p != kClaiming && p < m) m = p;
-    }
-    return m;
-  }
+  [[nodiscard]] std::uint64_t min_pin() const { return scan_registry().min; }
 
   /// Whether any registry slot is currently pinned (or mid-claim).
-  [[nodiscard]] bool any_pin() const {
-    for (std::uint32_t s = 0; s < kPinSlots; ++s)
-      if (pins_[s].load(std::memory_order_seq_cst) != 0) return true;
-    return false;
-  }
+  [[nodiscard]] bool any_pin() const { return scan_registry().any; }
 
   /// One reclamation pass (writer only).  Trims chain suffixes no pin can
   /// reach and advances retired chains through unlink → free.  Freed NVM
   /// blocks are appended to `freed_nvm_blocks` for the cache to return to
-  /// its free monitor.
+  /// its free monitor.  Scans the registry once for the floor and, when the
+  /// pass unlinked a node, once more after the last unlink; a pass with
+  /// nothing to reclaim reads no pin slot at all.
   void reclaim(std::vector<std::uint32_t>& freed_nvm_blocks) {
-    const std::uint64_t floor = min_pin();
+    if (multi_nodes_.empty() && retired_.empty()) return;
+    const Registry at_start = scan_registry();
+    const std::uint64_t floor = at_start.min;
 
     // Suffix-trim multi-version chains: rec v_i (with newer neighbour
     // v_{i+1}) is unreachable once min_pin >= e_{i+1}.
@@ -348,22 +371,33 @@ class MvccTable {
     // keeps it from advancing while an older pin lives).  Free one epoch
     // after the unlink: a reader that found the node before the unlink
     // carries a pin <= unlink_epoch, so min_pin > unlink_epoch (or an empty
-    // registry) proves nobody can still be traversing it.
+    // registry) proves nobody can still be traversing it.  Every unlink of
+    // the pass comes first, so one registry scan after them serves every
+    // free decision.
+    bool unlinked_now = false;
+    for (Retired& r : retired_) {
+      r.trim = !r.unlinked;
+      if (r.unlinked) continue;
+      const VersionRec* head = r.node->chain.load(std::memory_order_relaxed);
+      if (head == nullptr || floor >= head->epoch) {
+        unlink(r.node);
+        r.unlinked = true;
+        r.unlink_epoch = epoch_.load(std::memory_order_relaxed);
+        unlinked_now = true;
+      }
+    }
+    const Registry after = unlinked_now ? scan_registry() : at_start;
+    // Trim and free in one sweep, so the freed blocks come out per node.
     for (std::size_t i = 0; i < retired_.size(); ) {
       Retired& r = retired_[i];
-      if (!r.unlinked) {
-        VersionRec* head = r.node->chain.load(std::memory_order_relaxed);
-        trim_after(head, floor, freed_nvm_blocks);
-        if (head == nullptr || floor >= head->epoch) {
-          unlink(r.node);
-          r.unlinked = true;
-          r.unlink_epoch = epoch_.load(std::memory_order_relaxed);
-        }
-      }
+      if (r.trim)
+        trim_after(r.node->chain.load(std::memory_order_relaxed), floor,
+                   freed_nvm_blocks);
+      r.trim = false;
       // Unlink and free may happen in the SAME pass: with the registry
       // empty there is no traversal to wait out, and eviction on a full
       // cache depends on the block coming back in one reclaim call.
-      if (r.unlinked && (!any_pin() || min_pin() > r.unlink_epoch)) {
+      if (r.unlinked && (!after.any || after.min > r.unlink_epoch)) {
         free_node(r.node, freed_nvm_blocks);
         retired_[i] = retired_.back();
         retired_.pop_back();
@@ -391,9 +425,31 @@ class MvccTable {
 
   struct Retired {
     BlockNode* node;
-    bool unlinked;
-    std::uint64_t unlink_epoch;
+    bool unlinked = false;
+    bool trim = false;  ///< linked at the start of the current reclaim pass
+    std::uint64_t unlink_epoch = 0;
   };
+
+  /// What one registry scan saw.
+  struct Registry {
+    bool any = false;        ///< some slot pinned or mid-claim
+    std::uint64_t min = 0;   ///< min pinned epoch, epoch() when none
+  };
+
+  /// Read the epoch, then the high-water mark, then every slot below it
+  /// (that order is the file comment's argument).
+  [[nodiscard]] Registry scan_registry() const {
+    Registry r{false, epoch_.load(std::memory_order_seq_cst)};
+    const std::uint32_t mark = pin_hwm_.load(std::memory_order_seq_cst);
+    for (std::uint32_t s = 0; s < mark; ++s) {
+      const std::uint64_t p = pins_[s].load(std::memory_order_seq_cst);
+      if (p == 0) continue;
+      r.any = true;
+      if (p != kClaiming && p < r.min) r.min = p;
+    }
+    stats.pin_slots_scanned.fetch_add(mark, std::memory_order_relaxed);
+    return r;
+  }
 
   [[nodiscard]] std::size_t bucket_of(std::uint64_t disk_blkno) const {
     std::uint64_t x = disk_blkno + 0x9E3779B97F4A7C15ULL;
@@ -467,20 +523,22 @@ class MvccTable {
   }
 
   /// Remove `node` from its bucket list (writer only; readers mid-walk keep
-  /// a consistent view because the node itself is not freed yet).
+  /// a consistent view because the node itself is not freed yet).  The
+  /// stores are seq_cst so the registry scan that follows cannot overtake
+  /// them (file comment).
   void unlink(BlockNode* node) {
     auto& head = buckets_[bucket_of(node->disk_blkno)];
     BlockNode* cur = head.load(std::memory_order_relaxed);
     if (cur == node) {
       head.store(node->next.load(std::memory_order_relaxed),
-                 std::memory_order_release);
+                 std::memory_order_seq_cst);
       return;
     }
     while (cur != nullptr) {
       BlockNode* next = cur->next.load(std::memory_order_relaxed);
       if (next == node) {
         cur->next.store(node->next.load(std::memory_order_relaxed),
-                        std::memory_order_release);
+                        std::memory_order_seq_cst);
         return;
       }
       cur = next;
@@ -513,11 +571,14 @@ class MvccTable {
 
   // Cache-line groups, fixed whatever the table's neighbours are: what every
   // reader loads (bucket array, mask, epoch — the writer stores only the
-  // epoch, once per commit), the pin slots readers store to, and the
+  // epoch, once per commit), the registry high-water mark (readers load it
+  // per pin and store it rarely), the pin slots readers store to, and the
   // writer-only reclamation state.
   alignas(kCacheLineBytes) std::vector<std::atomic<BlockNode*>> buckets_;
   std::uint64_t mask_ = 0;
   std::atomic<std::uint64_t> epoch_{1};
+  /// One past the highest registry slot ever claimed.
+  alignas(kCacheLineBytes) std::atomic<std::uint32_t> pin_hwm_{0};
   alignas(kCacheLineBytes) std::atomic<std::uint64_t> pins_[kPinSlots]{};
   /// Nodes with >= 2 versions.
   alignas(kCacheLineBytes) std::vector<BlockNode*> multi_nodes_;

@@ -4,7 +4,9 @@
 // linked list — because these structures can be rebuilt from the persistent
 // entry table on startup (§4.6).  This is the linked-list half: an intrusive
 // doubly-linked list over dense slot ids, O(1) for touch / insert / remove
-// with no per-node allocation.
+// with no per-node allocation.  Every insert stamps the slot from a running
+// counter, so "which of two listed slots is older" is one compare — the
+// replacement cursors in TincaCache lean on that (DESIGN.md §11).
 #pragma once
 
 #include <algorithm>
@@ -22,12 +24,14 @@ class SlotLru {
  public:
   static constexpr std::uint32_t kNil = 0xFFFF'FFFFu;
 
-  explicit SlotLru(std::uint32_t n) : prev_(n, kNil), next_(n, kNil), in_(n, 0) {}
+  explicit SlotLru(std::uint32_t n)
+      : prev_(n, kNil), next_(n, kNil), stamp_(n, 0), in_(n, 0) {}
 
   /// Insert `slot` at the MRU end.  Must not already be present.
   void push_mru(std::uint32_t slot) {
     TINCA_EXPECT(!in_[slot], "slot already in LRU");
     in_[slot] = 1;
+    stamp_[slot] = ++clock_;
     prev_[slot] = kNil;
     next_[slot] = mru_;
     if (mru_ != kNil) prev_[mru_] = slot;
@@ -63,6 +67,17 @@ class SlotLru {
     return prev_[slot];
   }
 
+  /// Recency stamp of a listed slot: strictly increasing along the list
+  /// from the LRU end to the MRU end, renewed by every push_mru / touch.
+  [[nodiscard]] std::uint64_t stamp(std::uint32_t slot) const {
+    return stamp_[slot];
+  }
+
+  /// Whether listed slot `a` was used less recently than listed slot `b`.
+  [[nodiscard]] bool older(std::uint32_t a, std::uint32_t b) const {
+    return stamp_[a] < stamp_[b];
+  }
+
   /// Whether `slot` is in the list.
   [[nodiscard]] bool contains(std::uint32_t slot) const { return in_[slot] != 0; }
 
@@ -71,7 +86,9 @@ class SlotLru {
 
  private:
   std::vector<std::uint32_t> prev_, next_;
+  std::vector<std::uint64_t> stamp_;
   std::vector<std::uint8_t> in_;
+  std::uint64_t clock_ = 0;
   std::uint32_t mru_ = kNil;
   std::uint32_t lru_ = kNil;
   std::uint32_t size_ = 0;

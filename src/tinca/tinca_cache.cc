@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 
 #include "common/bytes.h"
 #include "common/expect.h"
@@ -35,11 +36,13 @@ TincaCache::TincaCache(nvm::NvmDevice& nvm, blockdev::BlockDevice& disk,
       cfg_(cfg),
       layout_(Layout::compute(nvm.size(), cfg.ring_bytes, cfg.num_streams)),
       mirror_(layout_.num_blocks),
+      index_(layout_.num_blocks),
       lru_(static_cast<std::uint32_t>(layout_.num_blocks)),
       free_entries_(static_cast<std::uint32_t>(layout_.num_blocks)),
       free_blocks_(static_cast<std::uint32_t>(layout_.num_blocks),
                    cfg.wear_level),
       mvcc_(layout_.num_blocks),
+      block_buf_(kBlockSize),
       trace_(nvm.clock(), cfg.trace_tid, "tinca."),
       ts_commit_(trace_.site("commit")),
       ts_abort_(trace_.site("abort")),
@@ -165,13 +168,12 @@ void TincaCache::load_for_recovery() {
   // from scratch in recovery_apply).
   index_.clear();
   for (std::uint32_t slot = 0; slot < layout_.num_blocks; ++slot)
-    if (mirror_[slot].valid) index_.emplace(mirror_[slot].disk_blkno, slot);
+    if (mirror_[slot].valid) index_.insert(mirror_[slot].disk_blkno, slot);
 }
 
 std::uint64_t TincaCache::block_fp(std::uint32_t nvm_block) const {
-  std::vector<std::byte> buf(kBlockSize);
-  nvm_.load(layout_.data_block_off(nvm_block), buf);
-  return fingerprint(buf);
+  nvm_.load(layout_.data_block_off(nvm_block), block_buf_);
+  return fingerprint(block_buf_);
 }
 
 // Whether a committed record's block can still be surfaced whole: the entry
@@ -180,9 +182,9 @@ std::uint64_t TincaCache::block_fp(std::uint32_t nvm_block) const {
 // fingerprint.
 bool TincaCache::record_placed(const RingRecord& r) const {
   if (r.curr_nvm >= layout_.num_blocks) return false;
-  const auto it = index_.find(r.disk_blkno);
-  if (it == index_.end()) return false;
-  const CacheEntry& e = mirror_[it->second];
+  const std::uint32_t slot = index_.find(r.disk_blkno);
+  if (slot == BlockIndex::kNone) return false;
+  const CacheEntry& e = mirror_[slot];
   const bool entry_ok = e.curr_nvm == r.curr_nvm ||
                         (e.role == Role::kLog && e.prev_nvm == r.curr_nvm);
   return entry_ok && block_fp(r.curr_nvm) == r.payload_fp;
@@ -297,9 +299,8 @@ void TincaCache::recovery_apply(
   for (const RecoveredBatch& b : st->batches) {
     for (const RingRecord& r : b.records) {
       if (r.curr_nvm >= layout_.num_blocks) continue;
-      const auto it = index_.find(r.disk_blkno);
-      if (it == index_.end()) continue;
-      const std::uint32_t slot = it->second;
+      const std::uint32_t slot = index_.find(r.disk_blkno);
+      if (slot == BlockIndex::kNone) continue;
       CacheEntry e = mirror_[slot];
       if (!e.valid || e.role != Role::kLog || e.curr_nvm != r.curr_nvm)
         continue;
@@ -318,11 +319,11 @@ void TincaCache::recovery_apply(
   for (const std::vector<RingRecord>& run : st->runs) {
     for (const RingRecord& r : run) {
       if (r.kind != RingRecord::Kind::kBlock) continue;
-      const auto it = index_.find(r.disk_blkno);
-      if (it == index_.end()) continue;
-      const CacheEntry& e = mirror_[it->second];
+      const std::uint32_t slot = index_.find(r.disk_blkno);
+      if (slot == BlockIndex::kNone) continue;
+      const CacheEntry& e = mirror_[slot];
       if (e.valid && e.role == Role::kLog && e.curr_nvm == r.curr_nvm)
-        revoke_slot(it->second);
+        revoke_slot(slot);
     }
   }
 
@@ -377,9 +378,9 @@ void TincaCache::recovery_apply(
     TINCA_ENSURE(e.curr_nvm < layout_.num_blocks, "entry points beyond data area");
     TINCA_ENSURE(!block_used[e.curr_nvm], "two entries share an NVM block");
     block_used[e.curr_nvm] = true;
-    const bool fresh = index_.emplace(e.disk_blkno, slot).second;
+    const bool fresh = index_.insert(e.disk_blkno, slot);
     TINCA_ENSURE(fresh, "duplicate disk block in entry table");
-    lru_.push_mru(slot);
+    lru_push(slot);
     ++stats_.recovered_entries;
   }
   for (std::uint32_t i = layout_.num_blocks; i-- > 0;) {
@@ -420,6 +421,7 @@ void TincaCache::write_entry(std::uint32_t slot, const CacheEntry& e) {
   if (was_dirty && !now_dirty) --dirty_count_;
   if (!was_dirty && now_dirty) ++dirty_count_;
   mirror_[slot] = e;
+  note_slot(slot);
   const auto raw = e.encode();
   const std::uint64_t off = layout_.entry_off(slot);
   nvm_.atomic_store16(off, raw);
@@ -454,6 +456,7 @@ void TincaCache::write_entry_staged(
   if (was_dirty && !now_dirty) --dirty_count_;
   if (!was_dirty && now_dirty) ++dirty_count_;
   mirror_[slot] = e;
+  note_slot(slot);
   const auto raw = e.encode();
   const std::uint64_t off = layout_.entry_off(slot);
   nvm_.atomic_store16(off, raw);
@@ -537,9 +540,8 @@ bool TincaCache::writeback(std::uint32_t slot) {
   const CacheEntry& e = mirror_[slot];
   if (quarantine_.contains(e.disk_blkno)) return false;
   if (mvcc_defer_disk_write(e.disk_blkno)) return false;
-  std::vector<std::byte> buf(kBlockSize);
-  nvm_.load(layout_.data_block_off(e.curr_nvm), buf);
-  const blockdev::IoStatus st = disk_write(e.disk_blkno, buf);
+  nvm_.load(layout_.data_block_off(e.curr_nvm), block_buf_);
+  const blockdev::IoStatus st = disk_write(e.disk_blkno, block_buf_);
   if (st == blockdev::IoStatus::kOk) return true;
   if (st == blockdev::IoStatus::kBadSector) note_bad_block(e.disk_blkno);
   return false;
@@ -552,14 +554,35 @@ std::uint32_t TincaCache::evict_one(std::uint32_t scan_from) {
   // Dirty victims whose writeback fails are skipped too — evicting them
   // would drop the only durable copy of committed data.
   //
-  // The scan resumes from `scan_from` (the caller threads the cursor through
-  // an ensure_free pass) so a run of quarantined / unwritable victims at the
-  // LRU end is skipped once per pass, not once per eviction: the old
-  // restart-from-the-tail loop made ensure_free O(n²) against a failing disk.
-  //
   // With a cleaner configured, dirty victims are *enqueued* rather than
-  // written back inline; the scan keeps looking for a clean victim and only
-  // falls back to a blocking cleaner drain when none exists.
+  // written back inline: the victim is the oldest clean buffer-role slot,
+  // every unqueued dirty slot older than it is offered to the cleaner (a
+  // full queue is fine — the watermark pull will find the block later),
+  // and a blocking cleaner drain is the fallback when no clean slot exists.
+  // The skip cursors make both walks O(1) amortized (DESIGN.md §11).
+  if (cleaner_) {
+    for (;;) {
+      const std::uint32_t victim = pick_victim();
+      offer_older_than(victim);
+      if (victim != SlotLru::kNil) {
+        evict_slot(victim, /*wrote_back=*/false);
+        return SlotLru::kNil;
+      }
+      // Backpressure: once the cleaner retired at least one block, a clean
+      // victim exists.
+      TINCA_ENSURE(cleaner_->drain_blocking() > 0,
+                   "cache wedged: every cached block is pinned by the "
+                   "committing transaction or stuck dirty behind a failing "
+                   "disk");
+    }
+  }
+
+  // Without a cleaner (the paper's Tinca) dirty victims are written back
+  // inline.  The scan resumes from `scan_from` (the caller threads the
+  // cursor through an ensure_free pass) so a run of quarantined /
+  // unwritable victims at the LRU end is skipped once per pass, not once
+  // per eviction: the old restart-from-the-tail loop made ensure_free O(n²)
+  // against a failing disk.
   for (;;) {
     std::uint32_t victim =
         (scan_from != SlotLru::kNil && lru_.contains(scan_from))
@@ -572,14 +595,6 @@ std::uint32_t TincaCache::evict_one(std::uint32_t scan_from) {
         continue;
       }
       if (!mirror_[victim].modified) break;
-      if (cleaner_) {
-        // Off the commit path: hand the dirty victim to the cleaner and keep
-        // scanning for a clean one.  (A full queue is fine — the watermark
-        // pull will find the block later.)
-        cleaner_->try_enqueue(mirror_[victim].disk_blkno);
-        victim = lru_.newer(victim);
-        continue;
-      }
       if (writeback(victim)) {
         wrote_back = true;
         break;
@@ -588,15 +603,8 @@ std::uint32_t TincaCache::evict_one(std::uint32_t scan_from) {
     }
     if (victim == SlotLru::kNil && scan_from != SlotLru::kNil) {
       // Cursor staleness: slots the cursor already skipped may have become
-      // evictable since they were visited — e.g. a quarantined victim the
-      // cleaner has drained and de-quarantined mid-pass.  One full rescan
-      // from the LRU end before concluding the cache is really stuck.
-      scan_from = SlotLru::kNil;
-      continue;
-    }
-    if (victim == SlotLru::kNil && cleaner_ && cleaner_->drain_blocking() > 0) {
-      // Backpressure: the cleaner retired at least one block, so a clean
-      // victim now exists.  Restart from the LRU end (slots may have moved).
+      // evictable since they were visited.  One full rescan from the LRU end
+      // before concluding the cache is really stuck.
       scan_from = SlotLru::kNil;
       continue;
     }
@@ -604,28 +612,32 @@ std::uint32_t TincaCache::evict_one(std::uint32_t scan_from) {
                  "cache wedged: every cached block is pinned by the committing "
                  "transaction or stuck dirty behind a failing disk");
     const std::uint32_t next = lru_.newer(victim);
-    const CacheEntry e = mirror_[victim];
-    if (wrote_back) ++stats_.dirty_writebacks;
-    // Evicting a block of the newest published batch while the durable hint
-    // still points below that batch would let recovery find one of its
-    // records unplaced and demote the whole (acked!) batch.  Push the hint
-    // past the batch first — slow path, but eviction is already a disk write.
-    if (last_batch_blocks_.contains(e.disk_blkno)) hint_sync();
-    invalidate_entry(victim);
-    index_.erase(e.disk_blkno);
-    lru_.remove(victim);
-    // The evicted block's version chain (when it has one) keeps serving
-    // pinned snapshot readers, so it retains the NVM block; reclamation
-    // returns it to the pool once no pin can reach the chain.
-    if (mvcc_.owns(e.disk_blkno, e.curr_nvm)) {
-      mvcc_.retire(e.disk_blkno);
-    } else {
-      free_blocks_.give(e.curr_nvm);
-    }
-    free_entries_.give(victim);
-    ++stats_.evictions;
+    evict_slot(victim, wrote_back);
     return next;
   }
+}
+
+void TincaCache::evict_slot(std::uint32_t victim, bool wrote_back) {
+  const CacheEntry e = mirror_[victim];
+  if (wrote_back) ++stats_.dirty_writebacks;
+  // Evicting a block of the newest published batch while the durable hint
+  // still points below that batch would let recovery find one of its
+  // records unplaced and demote the whole (acked!) batch.  Push the hint
+  // past the batch first — slow path, but eviction is already a disk write.
+  if (last_batch_blocks_.contains(e.disk_blkno)) hint_sync();
+  invalidate_entry(victim);
+  index_.erase(e.disk_blkno);
+  lru_remove(victim);
+  // The evicted block's version chain (when it has one) keeps serving
+  // pinned snapshot readers, so it retains the NVM block; reclamation
+  // returns it to the pool once no pin can reach the chain.
+  if (mvcc_.owns(e.disk_blkno, e.curr_nvm)) {
+    mvcc_.retire(e.disk_blkno);
+  } else {
+    free_blocks_.give(e.curr_nvm);
+  }
+  free_entries_.give(victim);
+  ++stats_.evictions;
 }
 
 void TincaCache::ensure_free(std::uint32_t entries, std::uint32_t blocks) {
@@ -644,22 +656,133 @@ void TincaCache::ensure_free(std::uint32_t entries, std::uint32_t blocks) {
 void TincaCache::clean_to_threshold() {
   // This path only *nominates* blocks; the actual disk writes happen on
   // cleaner steps.  Above the high watermark, feed the queue oldest-first
-  // so the next steps have something batched to drain.
+  // so the next steps have something batched to drain.  Nothing older than
+  // nominate_skip_ is nominable, and every slot this walk passes ends up
+  // queued or not nominable, so the cursor follows the walk.
   if (!cleaner_) return;
   const std::uint64_t high =
       layout_.num_blocks * cleaner_->config().high_water_pct / 100;
   if (dirty_count_ <= high) return;
   std::uint64_t excess = dirty_count_ - high;
-  std::uint32_t slot = lru_.lru();
-  while (slot != SlotLru::kNil && excess > 0) {
-    const CacheEntry& e = mirror_[slot];
-    if (e.valid && e.modified && e.role == Role::kBuffer &&
-        !quarantine_.contains(e.disk_blkno) &&
-        !cleaner_->pending(e.disk_blkno)) {
-      if (!cleaner_->try_enqueue(e.disk_blkno)) break;  // queue full
+  while (nominate_skip_ != SlotLru::kNil && excess > 0) {
+    if (nominable(nominate_skip_)) {
+      if (!cleaner_->try_enqueue(mirror_[nominate_skip_].disk_blkno))
+        break;  // queue full
       --excess;
     }
-    slot = lru_.newer(slot);
+    nominate_skip_ = lru_.newer(nominate_skip_);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Skip cursors (DESIGN.md §11)
+// ---------------------------------------------------------------------------
+
+bool TincaCache::evictable(std::uint32_t slot) const {
+  const CacheEntry& e = mirror_[slot];
+  return e.valid && e.role == Role::kBuffer && !e.modified;
+}
+
+bool TincaCache::offerable(std::uint32_t slot) const {
+  const CacheEntry& e = mirror_[slot];
+  return e.valid && e.role == Role::kBuffer && e.modified &&
+         !cleaner_->pending(e.disk_blkno);
+}
+
+bool TincaCache::nominable(std::uint32_t slot) const {
+  // Quarantined blocks are not pulled: they ride the cleaner's
+  // failure-retry queue instead.
+  return offerable(slot) && !quarantine_.contains(mirror_[slot].disk_blkno);
+}
+
+void TincaCache::note_slot(std::uint32_t slot) {
+  if (!cleaner_ || !lru_.contains(slot)) return;
+  const auto passed = [&](std::uint32_t cursor) {
+    return cursor == SlotLru::kNil || lru_.older(slot, cursor);
+  };
+  // A slot leaves the cleaner's pending set only once it is clean or gone,
+  // and leaves quarantine only as it turns clean, so the state changes that
+  // reach here (and list insertions) are the only ways a passed slot can
+  // become a candidate again.
+  if (passed(evict_skip_) && evictable(slot)) {
+    if (evict_skip_ == SlotLru::kNil) {
+      evict_skip_ = slot;
+    } else {
+      evict_heap_.emplace_back(lru_.stamp(slot), slot);
+      std::push_heap(evict_heap_.begin(), evict_heap_.end(), std::greater<>());
+      if (evict_heap_.size() > 2 * layout_.num_blocks) {
+        // Bound the stale entries: keep each live one once.
+        std::erase_if(evict_heap_,
+                      [&](const auto& h) { return !heap_entry_live(h); });
+        std::sort(evict_heap_.begin(), evict_heap_.end(), std::greater<>());
+        evict_heap_.erase(std::unique(evict_heap_.begin(), evict_heap_.end()),
+                          evict_heap_.end());
+        std::make_heap(evict_heap_.begin(), evict_heap_.end(),
+                       std::greater<>());
+      }
+    }
+  }
+  if (passed(offer_skip_) && offerable(slot)) offer_skip_ = slot;
+  if (passed(nominate_skip_) && nominable(slot)) nominate_skip_ = slot;
+}
+
+bool TincaCache::heap_entry_live(
+    const std::pair<std::uint64_t, std::uint32_t>& entry) const {
+  const auto [stamp, slot] = entry;
+  return lru_.contains(slot) && lru_.stamp(slot) == stamp && evictable(slot);
+}
+
+void TincaCache::lru_push(std::uint32_t slot) {
+  lru_.push_mru(slot);
+  note_slot(slot);
+}
+
+void TincaCache::step_cursors_off(std::uint32_t slot) {
+  for (std::uint32_t* cursor : {&evict_skip_, &offer_skip_, &nominate_skip_})
+    if (*cursor == slot) *cursor = lru_.newer(slot);
+}
+
+void TincaCache::lru_touch(std::uint32_t slot) {
+  step_cursors_off(slot);
+  lru_.touch(slot);
+  note_slot(slot);
+}
+
+void TincaCache::lru_remove(std::uint32_t slot) {
+  step_cursors_off(slot);
+  lru_.remove(slot);
+}
+
+std::uint32_t TincaCache::pick_victim() {
+  // Oldest live heap entry: every clean slot behind the cursor is in the
+  // heap, so it is the oldest evictable slot behind the cursor.
+  while (!evict_heap_.empty() && !heap_entry_live(evict_heap_.front())) {
+    std::pop_heap(evict_heap_.begin(), evict_heap_.end(), std::greater<>());
+    evict_heap_.pop_back();
+  }
+  const std::uint32_t behind =
+      evict_heap_.empty() ? SlotLru::kNil : evict_heap_.front().second;
+  while (evict_skip_ != SlotLru::kNil && !evictable(evict_skip_))
+    evict_skip_ = lru_.newer(evict_skip_);
+  if (behind != SlotLru::kNil &&
+      (evict_skip_ == SlotLru::kNil || lru_.older(behind, evict_skip_))) {
+    std::pop_heap(evict_heap_.begin(), evict_heap_.end(), std::greater<>());
+    evict_heap_.pop_back();
+    return behind;
+  }
+  return evict_skip_;
+}
+
+void TincaCache::offer_older_than(std::uint32_t victim) {
+  // With the queue full every offer would bounce; the first bounce ends the
+  // walk for the same reason (nothing drains the queue meanwhile).
+  if (cleaner_->queue_depth() >= cleaner::kQueueCap) return;
+  while (offer_skip_ != SlotLru::kNil &&
+         (victim == SlotLru::kNil || lru_.older(offer_skip_, victim))) {
+    if (offerable(offer_skip_) &&
+        !cleaner_->try_enqueue(mirror_[offer_skip_].disk_blkno))
+      return;
+    offer_skip_ = lru_.newer(offer_skip_);
   }
 }
 
@@ -673,9 +796,8 @@ void TincaCache::clean_to_threshold() {
 // entries, and the block is simply cleaned again (write-back is idempotent).
 cleaner::CleanOutcome TincaCache::cleaner_clean(std::uint64_t key,
                                                 std::uint64_t* io_retries) {
-  auto it = index_.find(key);
-  if (it == index_.end()) return cleaner::CleanOutcome::kStale;
-  const std::uint32_t slot = it->second;
+  const std::uint32_t slot = index_.find(key);
+  if (slot == BlockIndex::kNone) return cleaner::CleanOutcome::kStale;
   CacheEntry e = mirror_[slot];
   if (!e.valid || !e.modified) return cleaner::CleanOutcome::kStale;
   if (e.role == Role::kLog) return cleaner::CleanOutcome::kPinned;
@@ -685,10 +807,9 @@ cleaner::CleanOutcome TincaCache::cleaner_clean(std::uint64_t key,
   if (mvcc_defer_disk_write(key)) return cleaner::CleanOutcome::kPinned;
 
   if (!cfg_.cleaner.sabotage_skip_write) {
-    std::vector<std::byte> buf(kBlockSize);
-    nvm_.load(layout_.data_block_off(e.curr_nvm), buf);
+    nvm_.load(layout_.data_block_off(e.curr_nvm), block_buf_);
     nvm_.injector.point();  // CP: cut mid-drain, before the disk write
-    const blockdev::IoStatus st = disk_write(key, buf, io_retries);
+    const blockdev::IoStatus st = disk_write(key, block_buf_, io_retries);
     if (st != blockdev::IoStatus::kOk) {
       // Unlike the foreground path, a bad sector does NOT give up for good:
       // the cleaner keeps the block on its backoff queue, so quarantine is a
@@ -719,26 +840,52 @@ std::uint64_t TincaCache::cleaner_capacity_blocks() const {
 void TincaCache::cleaner_collect(std::uint32_t max,
                                  std::vector<std::uint64_t>& out) {
   // Oldest-first along the LRU list — deterministic, and the blocks most
-  // likely to be eviction victims soon.  Quarantined blocks are not pulled
-  // (they ride the cleaner's failure-retry queue instead), and keys already
-  // pending would only bounce off the dup filter.
-  std::uint32_t slot = lru_.lru();
-  while (slot != SlotLru::kNil && out.size() < max) {
-    const CacheEntry& e = mirror_[slot];
-    if (e.valid && e.modified && e.role == Role::kBuffer &&
-        !quarantine_.contains(e.disk_blkno) && !cleaner_->pending(e.disk_blkno))
-      out.push_back(e.disk_blkno);
-    slot = lru_.newer(slot);
-  }
+  // likely to be eviction victims soon.  Keys already pending would only
+  // bounce off the dup filter.  The walk starts at nominate_skip_ (nothing
+  // older is nominable) and moves the cursor up to the first key it
+  // collects: the caller may still fail to queue that one.
+  while (nominate_skip_ != SlotLru::kNil && !nominable(nominate_skip_))
+    nominate_skip_ = lru_.newer(nominate_skip_);
+  for (std::uint32_t slot = nominate_skip_;
+       slot != SlotLru::kNil && out.size() < max; slot = lru_.newer(slot))
+    if (nominable(slot)) out.push_back(mirror_[slot].disk_blkno);
 }
 
 void TincaCache::assert_dirty_count() const {
 #ifndef NDEBUG
   std::uint64_t scan = 0;
-  for (auto [blkno, slot] : index_)
+  index_.for_each([&](std::uint64_t, std::uint32_t slot) {
     if (mirror_[slot].modified) ++scan;
+  });
   TINCA_ENSURE(scan == dirty_count_,
                "incremental dirty counter diverged from the entry table");
+#endif
+}
+
+bool TincaCache::skip_cursors_hold() const {
+  if (!cleaner_) return true;
+  std::unordered_set<std::uint32_t> in_heap;
+  for (const auto& entry : evict_heap_)
+    if (heap_entry_live(entry)) in_heap.insert(entry.second);
+  // Walk oldest first; a cursor's invariant covers the slots before it (all
+  // of them when the cursor is kNil).
+  bool evict = true, offer = true, nominate = true;
+  for (std::uint32_t slot = lru_.lru(); slot != SlotLru::kNil;
+       slot = lru_.newer(slot)) {
+    evict = evict && slot != evict_skip_;
+    offer = offer && slot != offer_skip_;
+    nominate = nominate && slot != nominate_skip_;
+    if ((evict && evictable(slot) && !in_heap.contains(slot)) ||
+        (offer && offerable(slot)) || (nominate && nominable(slot)))
+      return false;
+  }
+  return true;
+}
+
+void TincaCache::assert_skip_cursors() const {
+#ifndef NDEBUG
+  TINCA_ENSURE(skip_cursors_hold(),
+               "a replacement skip cursor has passed a candidate slot");
 #endif
 }
 
@@ -782,20 +929,19 @@ void TincaCache::stage_block_install(std::uint64_t disk_blkno,
   // (everything else pinned by the committing batch), it cleanly degrades to
   // a write miss — its last committed contents are on disk, so rollback
   // stays correct.
-  auto it = index_.find(disk_blkno);
-  if (it != index_.end()) {
-    lru_.touch(it->second);
+  std::uint32_t slot = index_.find(disk_blkno);
+  if (slot != BlockIndex::kNone) {
+    lru_touch(slot);
     ensure_free(0, 1);
-    it = index_.find(disk_blkno);
+    slot = index_.find(disk_blkno);
   }
-  if (it == index_.end()) ensure_free(1, 1);
+  if (slot == BlockIndex::kNone) ensure_free(1, 1);
 
   std::uint32_t nb = 0;
   {
     TINCA_TRACE_SPAN(trace_, ts_cow_);
-    if (it != index_.end()) {
+    if (slot != BlockIndex::kNone) {
       // Write hit: COW block write (§4.3), staged.
-      const std::uint32_t slot = it->second;
       ++stats_.write_hits;
       ++stats_.cow_writes;
       // First COW over a chainless entry (a clean read fill): publish its
@@ -822,7 +968,7 @@ void TincaCache::stage_block_install(std::uint64_t disk_blkno,
     } else {
       // Write miss: create a new entry whose previous version is FRESH.
       ++stats_.write_misses;
-      const std::uint32_t slot = free_entries_.take();
+      slot = free_entries_.take();
       nb = free_blocks_.take();
       write_data_block_staged(nb, data);
       nvm_.injector.point();  // CP: data staged, entry absent
@@ -835,8 +981,8 @@ void TincaCache::stage_block_install(std::uint64_t disk_blkno,
       e.prev_nvm = CacheEntry::kFresh;
       e.curr_nvm = nb;
       write_entry_staged(slot, e, flush_ranges_);
-      index_.emplace(disk_blkno, slot);
-      lru_.push_mru(slot);  // listed, but pinned by the log role
+      index_.insert(disk_blkno, slot);
+      lru_push(slot);  // listed, but pinned by the log role
       nvm_.injector.point();  // CP: entry created (staged)
     }
   }
@@ -853,9 +999,12 @@ void TincaCache::stage_block_install(std::uint64_t disk_blkno,
 void TincaCache::publish_switches(const std::vector<std::uint64_t>& blocks) {
   TINCA_TRACE_SPAN(trace_, ts_role_switch_);
   for (std::uint64_t blkno : blocks) {
-    auto it = index_.find(blkno);
-    TINCA_ENSURE(it != index_.end(), "committed block vanished before switch");
-    const std::uint32_t slot = it->second;
+    const std::uint32_t slot = index_.find(blkno);
+    TINCA_ENSURE(slot != BlockIndex::kNone,
+                 "committed block vanished before switch");
+    // §4.6(2b): committed blocks become MRU.  Moved before the switch makes
+    // the slot a cleaner candidate, so no skip cursor has to step back to it.
+    lru_touch(slot);
     CacheEntry e = mirror_[slot];
     TINCA_ENSURE(e.role == Role::kLog, "role switch on a buffer block");
     e.role = Role::kBuffer;
@@ -872,7 +1021,6 @@ void TincaCache::publish_switches(const std::vector<std::uint64_t>& blocks) {
     // today, but cheap to keep correct) goes straight back to the pool.
     if (e.prev_nvm != CacheEntry::kFresh && !mvcc_.owns(blkno, e.prev_nvm))
       free_blocks_.give(e.prev_nvm);
-    lru_.touch(slot);  // §4.6(2b): committed blocks become MRU
     ++stats_.role_switches;
   }
 }
@@ -1078,6 +1226,7 @@ void TincaCache::batch_publish() {
   clean_to_threshold();
   mvcc_reclaim();  // amortized: trims versions this batch superseded
   assert_dirty_count();
+  assert_skip_cursors();
 }
 
 // ---------------------------------------------------------------------------
@@ -1088,11 +1237,10 @@ void TincaCache::read_block(std::uint64_t disk_blkno, std::span<std::byte> dst) 
   TINCA_TRACE_SPAN(trace_, ts_read_);
   TINCA_EXPECT(dst.size() == kBlockSize, "reads are whole 4 KB blocks");
   nvm_.clock().advance(kCpuOpNs);
-  auto it = index_.find(disk_blkno);
-  if (it != index_.end()) {
-    const std::uint32_t slot = it->second;
+  if (const std::uint32_t slot = index_.find(disk_blkno);
+      slot != BlockIndex::kNone) {
     nvm_.load(layout_.data_block_off(mirror_[slot].curr_nvm), dst);
-    lru_.touch(slot);
+    lru_touch(slot);
     ++stats_.read_hits;
     return;
   }
@@ -1117,8 +1265,8 @@ void TincaCache::read_block(std::uint64_t disk_blkno, std::span<std::byte> dst) 
   e.curr_nvm = nb;
   mirror_[slot] = e;
   nvm_.atomic_store16(layout_.entry_off(slot), e.encode());
-  index_.emplace(disk_blkno, slot);
-  lru_.push_mru(slot);
+  index_.insert(disk_blkno, slot);
+  lru_push(slot);
 }
 
 void TincaCache::write_block(std::uint64_t disk_blkno,
@@ -1131,8 +1279,9 @@ void TincaCache::write_block(std::uint64_t disk_blkno,
 void TincaCache::flush_dirty() {
   // Write back in ascending disk order: sequential on HDD, harmless on SSD.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> dirty;
-  for (auto [blkno, slot] : index_)
+  index_.for_each([&](std::uint64_t blkno, std::uint32_t slot) {
     if (mirror_[slot].modified) dirty.emplace_back(blkno, slot);
+  });
   std::sort(dirty.begin(), dirty.end());
   for (auto [blkno, slot] : dirty) {
     if (!writeback(slot)) continue;  // stays dirty; retried on the next flush
@@ -1142,6 +1291,7 @@ void TincaCache::flush_dirty() {
     write_entry(slot, e);
   }
   assert_dirty_count();
+  assert_skip_cursors();
 }
 
 // ---------------------------------------------------------------------------
@@ -1207,9 +1357,13 @@ bool TincaCache::mvcc_defer_disk_write(std::uint64_t disk_blkno) const {
   // Safe to advance disk unless some pinned reader sits below the chain's
   // oldest version — only then is the current disk content that reader's
   // single remaining copy.  Chains anchored by an epoch-1 baseline cover
-  // every possible pin, so they never defer.
+  // every possible pin, so they never defer.  No version is newer than the
+  // current epoch outside a batch's publish step, so without a pin below
+  // the epoch nothing defers and the chain walk is skipped.
+  const std::uint64_t floor = mvcc_.min_pin();
+  if (floor >= mvcc_.epoch()) return false;
   const std::uint64_t oldest = mvcc_.oldest_live_epoch(disk_blkno);
-  return oldest > 1 && mvcc_.min_pin() < oldest;
+  return oldest > 1 && floor < oldest;
 }
 
 void TincaCache::mvcc_reclaim() {
@@ -1262,14 +1416,14 @@ bool TincaCache::cached(std::uint64_t disk_blkno) const {
 }
 
 bool TincaCache::dirty(std::uint64_t disk_blkno) const {
-  auto it = index_.find(disk_blkno);
-  return it != index_.end() && mirror_[it->second].modified;
+  const std::uint32_t slot = index_.find(disk_blkno);
+  return slot != BlockIndex::kNone && mirror_[slot].modified;
 }
 
 CacheEntry TincaCache::entry_for(std::uint64_t disk_blkno) const {
-  auto it = index_.find(disk_blkno);
-  TINCA_EXPECT(it != index_.end(), "entry_for on an uncached block");
-  return mirror_[it->second];
+  const std::uint32_t slot = index_.find(disk_blkno);
+  TINCA_EXPECT(slot != BlockIndex::kNone, "entry_for on an uncached block");
+  return mirror_[slot];
 }
 
 void TincaCache::register_metrics(obs::MetricsRegistry& reg,

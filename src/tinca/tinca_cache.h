@@ -39,6 +39,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "blockdev/block_device.h"
@@ -46,6 +47,7 @@
 #include "common/histogram.h"
 #include "nvm/nvm_device.h"
 #include "obs/trace.h"
+#include "tinca/block_index.h"
 #include "tinca/cache_entry.h"
 #include "tinca/layout.h"
 #include "tinca/mvcc.h"
@@ -162,6 +164,9 @@ class Transaction {
 /// The transactional NVM disk cache.
 class TincaCache : private cleaner::CleanerClient {
  public:
+  /// Test access to the replacement internals.
+  friend struct TincaCacheTestPeer;
+
   /// Initialize a fresh cache on `nvm` (like mkfs): formats the superblock,
   /// ring and entry table.
   static std::unique_ptr<TincaCache> format(nvm::NvmDevice& nvm,
@@ -486,16 +491,51 @@ class TincaCache : private cleaner::CleanerClient {
   void write_data_block_staged(std::uint32_t nvm_block,
                                std::span<const std::byte> data);
 
-  // Replacement.  evict_one scans from `scan_from` (SlotLru::kNil → the LRU
-  // end) and returns the slot to resume scanning from, so that one
-  // ensure_free pass visits each skipped victim at most once (O(n) total
-  // instead of O(n²) rescans from the tail).
+  // Replacement.  Without a cleaner, evict_one scans from `scan_from`
+  // (SlotLru::kNil → the LRU end) and returns the slot to resume scanning
+  // from, so that one ensure_free pass visits each skipped victim at most
+  // once (O(n) total instead of O(n²) rescans from the tail).  With a
+  // cleaner it ignores `scan_from` and works from the skip cursors below.
   void ensure_free(std::uint32_t entries, std::uint32_t blocks);
   std::uint32_t evict_one(std::uint32_t scan_from);
+  /// Drop `victim` from the cache (its writeback, if any, already done).
+  void evict_slot(std::uint32_t victim, bool wrote_back);
   bool writeback(std::uint32_t slot);
   /// After each commit: above the cleaner's high watermark, enqueue the
   /// oldest dirty blocks for its next steps.  No-op without a cleaner.
   void clean_to_threshold();
+
+  // Skip cursors over the LRU tail (DESIGN.md §11; cleaner configured
+  // only).  Each cursor is a listed slot or kNil (= past the MRU end) with
+  // an invariant about every listed slot older than it:
+  //   evict_skip_     log-role or dirty, except clean slots recorded in
+  //                   evict_heap_ (they turned clean behind the cursor);
+  //   offer_skip_     log-role, clean, or already pending in the cleaner;
+  //   nominate_skip_  not nominable (see nominable()).
+  // The slot predicates a cursor skips over.
+  [[nodiscard]] bool evictable(std::uint32_t slot) const;
+  [[nodiscard]] bool offerable(std::uint32_t slot) const;
+  [[nodiscard]] bool nominable(std::uint32_t slot) const;
+  // Keep the cursors' invariants when `slot` changes state or joins the
+  // list: a cursor that has passed it moves back to it (evict_skip_ records
+  // it in evict_heap_ instead).
+  void note_slot(std::uint32_t slot);
+  // Whether an evict_heap_ entry still names a listed, evictable slot with
+  // that stamp.
+  [[nodiscard]] bool heap_entry_live(
+      const std::pair<std::uint64_t, std::uint32_t>& entry) const;
+  // LRU moves, stepping any cursor that sits on the moved slot to its newer
+  // neighbour first.
+  void lru_push(std::uint32_t slot);
+  void lru_touch(std::uint32_t slot);
+  void lru_remove(std::uint32_t slot);
+  void step_cursors_off(std::uint32_t slot);
+  // The oldest evictable slot (kNil if none), from evict_heap_ or by
+  // walking evict_skip_ forward.
+  std::uint32_t pick_victim();
+  // Eviction's side effect: offer every unqueued dirty buffer-role slot
+  // older than `victim` (all of them for kNil) to the cleaner, oldest first.
+  void offer_older_than(std::uint32_t victim);
 
   // CleanerClient (the cleaner retires dirty blocks through these).
   cleaner::CleanOutcome cleaner_clean(std::uint64_t key,
@@ -519,6 +559,11 @@ class TincaCache : private cleaner::CleanerClient {
   // Debug-build cross-check of the incremental dirty counter against a full
   // index scan (compiled out under NDEBUG).
   void assert_dirty_count() const;
+  // Whether the skip cursors' invariants hold, by a walk of the LRU list;
+  // assert_skip_cursors() checks it in debug builds (compiled out under
+  // NDEBUG).
+  [[nodiscard]] bool skip_cursors_hold() const;
+  void assert_skip_cursors() const;
 
   // Recovery helpers.
   void revoke_slot(std::uint32_t slot);
@@ -543,9 +588,16 @@ class TincaCache : private cleaner::CleanerClient {
   Layout layout_;
   std::vector<RingBuffer> rings_;  ///< one per commit stream (§15)
 
-  std::vector<CacheEntry> mirror_;                       ///< DRAM copy of entries
-  std::unordered_map<std::uint64_t, std::uint32_t> index_;  ///< disk blk → slot
+  std::vector<CacheEntry> mirror_;  ///< DRAM copy of entries
+  BlockIndex index_;                ///< disk blk → slot
   SlotLru lru_;
+  std::uint32_t evict_skip_ = SlotLru::kNil;
+  std::uint32_t offer_skip_ = SlotLru::kNil;
+  std::uint32_t nominate_skip_ = SlotLru::kNil;
+  /// Min-heap on (stamp, slot) of slots that turned clean behind
+  /// evict_skip_.  Entries go stale when their slot is touched, removed or
+  /// dirtied again; stale tops are dropped lazily.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> evict_heap_;
   FreeMonitor free_entries_;
   FreeMonitor free_blocks_;
 
@@ -598,6 +650,9 @@ class TincaCache : private cleaner::CleanerClient {
   /// rebuilt from the entry table at mount like the index and LRU).
   MvccTable mvcc_;
   std::vector<std::uint32_t> mvcc_freed_;  ///< reclaim scratch buffer
+  /// One-block staging buffer for writebacks and recovery fingerprints
+  /// (owner thread only).
+  mutable std::vector<std::byte> block_buf_;
 
   obs::Tracer trace_;  ///< virtual-time tracer (nvm_'s clock)
   obs::Tracer::Site* ts_commit_;

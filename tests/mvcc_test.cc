@@ -244,6 +244,63 @@ TEST(MvccTable, PinRegistryExhaustionFailsTheExtraPin) {
   EXPECT_TRUE(t.pin().valid());  // slots come back
 }
 
+TEST(MvccTable, PinAboveTheRegistryHighWaterMarkIsSeenByMinPin) {
+  MvccTable t(16);
+  t.bump();
+  t.bump();                        // epoch 3
+  const SnapshotPin low = t.pin();   // slot 0: the mark rises to 1
+  const SnapshotPin high = t.pin();  // slot 1, above that mark
+  ASSERT_EQ(high.slot, 1u);
+  t.unpin(low);
+  t.bump();                        // epoch 4
+  // Only slot 1 still holds epoch 3: the scan must have reached it.
+  EXPECT_EQ(t.min_pin(), 3u);
+  EXPECT_TRUE(t.any_pin());
+  t.unpin(high);
+  EXPECT_EQ(t.min_pin(), 4u);
+  EXPECT_FALSE(t.any_pin());
+}
+
+TEST(MvccTable, ReclaimWithEmptyWorklistsReadsNoPinSlot) {
+  MvccTable t(16);
+  const SnapshotPin p = t.pin();  // a claimed slot a scan would read
+  std::vector<std::uint32_t> freed;
+  const std::uint64_t before = t.stats.pin_slots_scanned.load();
+  t.reclaim(freed);
+  EXPECT_EQ(t.stats.pin_slots_scanned.load(), before);
+  // With a multi-version chain to trim, the pass does scan.
+  t.publish(1, 10);
+  t.bump();
+  t.publish(1, 11);
+  t.bump();
+  t.reclaim(freed);
+  EXPECT_GT(t.stats.pin_slots_scanned.load(), before);
+  t.unpin(p);
+}
+
+TEST(MvccTable, PassUnlinkingSeveralRetiredNodesUnderAPinFreesNone) {
+  MvccTable t(16);
+  for (std::uint64_t blk = 1; blk <= 3; ++blk)
+    t.publish(blk, static_cast<std::uint32_t>(10 + blk));
+  t.bump();                        // epoch 2: every head visible
+  const SnapshotPin p = t.pin();   // pinned at epoch 2 >= every head
+  for (std::uint64_t blk = 1; blk <= 3; ++blk) t.retire(blk);
+  std::vector<std::uint32_t> freed;
+  t.reclaim(freed);
+  // One pass unlinks all three (min pin >= their heads) but frees none:
+  // the pin may have found them before the unlinks.
+  for (std::uint64_t blk = 1; blk <= 3; ++blk)
+    EXPECT_EQ(t.find(blk), nullptr) << "block " << blk;
+  EXPECT_TRUE(freed.empty());
+  EXPECT_EQ(t.retired_nodes(), 3u);
+  EXPECT_EQ(t.stats.nodes_freed.load(), 0u);
+  t.unpin(p);
+  t.reclaim(freed);
+  std::sort(freed.begin(), freed.end());
+  EXPECT_EQ(freed, (std::vector<std::uint32_t>{11, 12, 13}));
+  EXPECT_EQ(t.retired_nodes(), 0u);
+}
+
 // --- TincaCache snapshot surface ---------------------------------------------
 
 TEST(TincaSnapshot, PinFreezesTheCommittedBoundary) {
